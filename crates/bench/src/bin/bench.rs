@@ -8,13 +8,13 @@
 //! bench --quick          # the CI profile: fewer iterations/sizes
 //! bench --pr 2           # trajectory index recorded in the document
 //!                        # (defaults to 0, an unlabeled local run)
-//! bench --threads 4      # worker budget for the parallel variants
+//! bench --threads 4      # worker budget for the supergraph variants
 //!                        # (defaults to the machine's parallelism)
 //! ```
 //!
-//! Measures the symbolic reference engine, the compiled engine (dense
-//! ids + bitset closures) and the parallel engine (sharded interning +
-//! frontier-parallel completion) on the `workload` generators; see
+//! Measures the symbolic reference engine against the id-space engine
+//! (dense ids + bitset closures, one thread), and the registry and
+//! supergraph layers built on it, on the `workload` generators; see
 //! `schema_merge_bench::perf` for the record format.
 
 #![forbid(unsafe_code)]

@@ -12,19 +12,13 @@
 //! Variant pairs tracked:
 //!
 //! * `symbolic` vs `compiled` — the retained reference engine against
-//!   the dense-id bitset/CSR core (the PR-2 trajectory);
-//! * `compiled` vs `parallel` — the sequential compiled engine against
-//!   the parallel engine (shared-interner sharded join, tree reduction,
-//!   frontier-parallel completion, end-to-end id space) at the suite's
-//!   `--threads` budget;
+//!   the id-space engine at one thread (the PR-2 trajectory);
 //! * `compiled-nopool` vs `compiled` — the compiled engine with the
 //!   scratch pool disabled (the pre-pool allocation behavior) against
 //!   the pooled engine, making the allocations-per-merge win measurable
 //!   rather than inferable;
 //! * `full` vs `incremental` — one-shot re-merge of every registry
-//!   member against the registry's cached-join incremental publish, and
-//!   `full` vs `full-parallel` for the cold-rebuild path on the
-//!   parallel engine;
+//!   member against the registry's cached-join incremental publish;
 //! * `durable` vs `memory` — the same warm incremental publish on a
 //!   registry whose commits are WAL'd and fsync'd to a local data dir
 //!   against a purely in-memory one: the measured per-commit cost of
@@ -32,9 +26,11 @@
 //! * `compiled-dense` vs `compiled` — the compiled engine with the
 //!   adaptive sparse rows disabled (all-dense bitset matrices, the
 //!   pre-adaptive behavior) against the default, on the `taxonomy`
-//!   family where the memory headline (`mem_ratio`) lives;
-//! * `compiled-dense` vs `partitioned` — the same dense monolith
-//!   against the component-split merge on multi-forest taxonomies.
+//!   family where the memory headline (`mem_ratio`) lives.
+//!
+//! A family with no pair keeps an *absolute* record of the engine
+//! (`wide` `merge` on `compiled`): a record without a speedup, listed
+//! after the paired records.
 //!
 //! JSON schema version 5: records carry a `phases` map — wall time per
 //! pipeline stage (span name → nanoseconds, from one extra untimed
@@ -61,7 +57,7 @@ use std::hint::black_box;
 use std::time::{Duration, Instant};
 
 use schema_merge_core::row::set_sparse_enabled;
-use schema_merge_core::{reference, EnginePreference, Merger, WeakSchema};
+use schema_merge_core::{reference, Merger, WeakSchema};
 use schema_merge_er::to_core;
 use schema_merge_registry::storage::{Fault, FaultSchedule, FaultStore, LocalStore, OpKind};
 use schema_merge_registry::{MergeStrategy, Registry, RetryPolicy};
@@ -152,29 +148,16 @@ static GLOBAL_ALLOCATOR: counting_alloc::CountingAllocator = counting_alloc::Cou
 
 pub use counting_alloc::{allocations, current_bytes, peak_bytes, reset_peak};
 
-/// The compiled engine measured THROUGH the `Merger` façade — what every
+/// The id-space engine measured THROUGH the `Merger` façade — what every
 /// production caller (CLI, daemon, registry) actually runs, so any
 /// overhead the façade adds (planning, provenance, diagnostics) is part
-/// of the measurement rather than hidden behind it. Pinned to the
-/// sequential compiled plan so the pair against `parallel` measures the
-/// engines, not the auto-planner.
+/// of the measurement rather than hidden behind it. Pinned to one thread
+/// so records measure the engine, not the machine's core count.
 fn facade_merge_compiled<'a>(schemas: impl IntoIterator<Item = &'a WeakSchema>) {
     black_box(
         Merger::new()
             .schemas(schemas)
-            .engine(EnginePreference::Compiled)
-            .execute()
-            .expect("workload merges"),
-    );
-}
-
-/// The parallel engine through the same façade, at a fixed budget.
-fn facade_merge_parallel<'a>(schemas: impl IntoIterator<Item = &'a WeakSchema>, threads: usize) {
-    black_box(
-        Merger::new()
-            .schemas(schemas)
-            .engine(EnginePreference::Parallel)
-            .threads(threads)
+            .threads(1)
             .execute()
             .expect("workload merges"),
     );
@@ -186,17 +169,13 @@ fn facade_join<'a>(schemas: impl IntoIterator<Item = &'a WeakSchema>) -> WeakSch
 
 /// The retained pre-compilation `BTreeMap`/`BTreeSet` path.
 pub const VARIANT_SYMBOLIC: &str = "symbolic";
-/// The dense-id bitset/CSR path (sequential).
+/// The id-space engine at one thread.
 pub const VARIANT_COMPILED: &str = "compiled";
 /// The compiled path with the scratch pool disabled — the pre-pool
 /// allocation behavior, kept measurable for the trajectory.
 pub const VARIANT_COMPILED_NOPOOL: &str = "compiled-nopool";
-/// The parallel engine at the suite's thread budget.
-pub const VARIANT_PARALLEL: &str = "parallel";
 /// One-shot re-merge of all registry members.
 pub const VARIANT_FULL: &str = "full";
-/// The one-shot re-merge on the parallel engine.
-pub const VARIANT_FULL_PARALLEL: &str = "full-parallel";
 /// Registry publish reusing the cached join of unchanged members.
 pub const VARIANT_INCREMENTAL: &str = "incremental";
 /// Registry publish on a durable registry: the commit is framed,
@@ -212,9 +191,6 @@ pub const VARIANT_DURABLE_FAULTY: &str = "durable-faulty";
 /// The compiled engine with the adaptive sparse rows disabled — every
 /// closure matrix dense, the pre-adaptive memory behavior.
 pub const VARIANT_COMPILED_DENSE: &str = "compiled-dense";
-/// The partitioned engine: split along weakly-connected components,
-/// merged per component, stitched at the seams.
-pub const VARIANT_PARTITIONED: &str = "partitioned";
 
 /// One measurement: an operation on a workload at a size, on one engine
 /// variant.
@@ -282,16 +258,43 @@ pub struct Speedup {
 /// A full run of the suite.
 #[derive(Debug, Clone, Default)]
 pub struct BenchReport {
-    /// All measurements.
+    /// Paired measurements, two per speedup, in speedup order.
     pub records: Vec<BenchRecord>,
     /// All derived speedups.
     pub speedups: Vec<Speedup>,
+    /// Single-variant measurements with no pair.
+    pub absolute: Vec<BenchRecord>,
 }
 
 struct Suite {
     iters: usize,
     threads: usize,
     report: BenchReport,
+}
+
+/// One timed iteration of `f`: wall time, allocator calls, and the peak
+/// live heap bytes reached beyond what was live when it started.
+fn timed(f: &mut impl FnMut()) -> (u128, u64, u64) {
+    let allocs_before = allocations();
+    let live_before = current_bytes();
+    reset_peak();
+    let start = Instant::now();
+    f();
+    let ns = start.elapsed().as_nanos();
+    (
+        ns,
+        allocations() - allocs_before,
+        peak_bytes().saturating_sub(live_before),
+    )
+}
+
+/// Median time, mean allocations and maximum peak over timed iterations.
+fn summarize(mut runs: Vec<(u128, u64, u64)>) -> (u128, u64, u64) {
+    let iters = runs.len().max(1) as u64;
+    let allocs = runs.iter().map(|run| run.1).sum::<u64>() / iters;
+    let peak = runs.iter().map(|run| run.2).max().unwrap_or(0);
+    runs.sort_unstable_by_key(|run| run.0);
+    (runs[runs.len() / 2].0, allocs, peak)
 }
 
 /// One extra, untimed run of `f` with span capture enabled for this
@@ -326,8 +329,6 @@ impl Suite {
         improved_variant: &'static str,
         mut improved: impl FnMut(),
     ) {
-        let n_classes = joined.num_classes();
-        let n_arrows = joined.num_arrows();
         // Interleaved A/B: one baseline run then one improved run per
         // iteration, so clock-speed drift (thermal throttling, noisy
         // neighbors) biases both sides equally instead of whichever
@@ -338,61 +339,22 @@ impl Suite {
                     // and the span scope is closed again before any clock starts.
         let base_phases = capture_phases(&mut baseline);
         let imp_phases = capture_phases(&mut improved);
-        let mut base_samples: Vec<u128> = Vec::with_capacity(self.iters);
-        let mut imp_samples: Vec<u128> = Vec::with_capacity(self.iters);
-        let mut base_allocs = 0u64;
-        let mut imp_allocs = 0u64;
-        let mut base_peak = 0u64;
-        let mut imp_peak = 0u64;
+        let mut base_runs = Vec::with_capacity(self.iters);
+        let mut imp_runs = Vec::with_capacity(self.iters);
         for _ in 0..self.iters {
-            let allocs_before = allocations();
-            let live_before = current_bytes();
-            reset_peak();
-            let start = Instant::now();
-            baseline();
-            base_samples.push(start.elapsed().as_nanos());
-            base_allocs += allocations() - allocs_before;
-            base_peak = base_peak.max(peak_bytes().saturating_sub(live_before));
-
-            let allocs_before = allocations();
-            let live_before = current_bytes();
-            reset_peak();
-            let start = Instant::now();
-            improved();
-            imp_samples.push(start.elapsed().as_nanos());
-            imp_allocs += allocations() - allocs_before;
-            imp_peak = imp_peak.max(peak_bytes().saturating_sub(live_before));
+            base_runs.push(timed(&mut baseline));
+            imp_runs.push(timed(&mut improved));
         }
-        base_samples.sort_unstable();
-        imp_samples.sort_unstable();
-        let base_ns = base_samples[base_samples.len() / 2];
-        let imp_ns = imp_samples[imp_samples.len() / 2];
-        let base_allocs = base_allocs / self.iters as u64;
-        let imp_allocs = imp_allocs / self.iters as u64;
-        for (variant, ns, allocs, peak, phases) in [
-            (
-                baseline_variant,
-                base_ns,
-                base_allocs,
-                base_peak,
-                base_phases,
-            ),
-            (improved_variant, imp_ns, imp_allocs, imp_peak, imp_phases),
+        let (base, imp) = (summarize(base_runs), summarize(imp_runs));
+        for (variant, run, phases) in [
+            (baseline_variant, base, base_phases),
+            (improved_variant, imp, imp_phases),
         ] {
-            self.report.records.push(BenchRecord {
-                family,
-                op,
-                n_classes,
-                n_arrows,
-                variant,
-                iters: self.iters,
-                median_ns: ns,
-                allocs_per_iter: allocs,
-                peak_bytes: peak,
-                throughput: n_arrows as f64 / (ns.max(1) as f64 / 1e9),
-                phases,
-            });
+            let record = self.record(family, op, joined, variant, run, phases);
+            self.report.records.push(record);
         }
+        let ((base_ns, base_allocs, base_peak), (imp_ns, imp_allocs, imp_peak)) = (base, imp);
+        let (n_classes, n_arrows) = (joined.num_classes(), joined.num_arrows());
         self.report.speedups.push(Speedup {
             family,
             op,
@@ -412,6 +374,48 @@ impl Suite {
                 base_peak as f64 / imp_peak as f64
             },
         });
+    }
+
+    /// An absolute record of one variant, for a family with no pair: the
+    /// same warmup, phase capture and timing as [`Suite::measure_pair`].
+    fn measure_single(
+        &mut self,
+        family: &'static str,
+        op: &'static str,
+        joined: &WeakSchema,
+        variant: &'static str,
+        mut f: impl FnMut(),
+    ) {
+        f(); // warmup
+        let phases = capture_phases(&mut f);
+        let runs = (0..self.iters).map(|_| timed(&mut f)).collect();
+        let record = self.record(family, op, joined, variant, summarize(runs), phases);
+        self.report.absolute.push(record);
+    }
+
+    fn record(
+        &self,
+        family: &'static str,
+        op: &'static str,
+        joined: &WeakSchema,
+        variant: &'static str,
+        (ns, allocs, peak): (u128, u64, u64),
+        phases: Vec<(&'static str, u64)>,
+    ) -> BenchRecord {
+        let n_arrows = joined.num_arrows();
+        BenchRecord {
+            family,
+            op,
+            n_classes: joined.num_classes(),
+            n_arrows,
+            variant,
+            iters: self.iters,
+            median_ns: ns,
+            allocs_per_iter: allocs,
+            peak_bytes: peak,
+            throughput: n_arrows as f64 / (ns.max(1) as f64 / 1e9),
+            phases,
+        }
     }
 
     /// The scratch-pool pairs: the compiled engine with the pool disabled
@@ -490,7 +494,7 @@ impl Suite {
                 black_box(
                     Merger::new()
                         .schemas(refs.iter().copied())
-                        .engine(EnginePreference::Compiled)
+                        .threads(1)
                         .join()
                         .expect("compatible"),
                 );
@@ -525,20 +529,6 @@ impl Suite {
                 facade_merge_compiled(refs.iter().copied());
             },
         );
-        let threads = self.threads;
-        self.measure_pair(
-            "random",
-            "merge",
-            &joined,
-            VARIANT_COMPILED,
-            || {
-                facade_merge_compiled(refs.iter().copied());
-            },
-            VARIANT_PARALLEL,
-            || {
-                facade_merge_parallel(refs.iter().copied(), threads);
-            },
-        );
     }
 
     fn pathological(&mut self, n: usize) {
@@ -559,20 +549,6 @@ impl Suite {
             },
         );
         self.complete_pool_pairs("pathological", &schema);
-        let threads = self.threads;
-        self.measure_pair(
-            "pathological",
-            "merge",
-            &schema,
-            VARIANT_COMPILED,
-            || {
-                facade_merge_compiled([&schema]);
-            },
-            VARIANT_PARALLEL,
-            || {
-                facade_merge_parallel([&schema], threads);
-            },
-        );
     }
 
     fn er_roundtrip(&mut self, entities: usize) {
@@ -602,69 +578,32 @@ impl Suite {
                 facade_merge_compiled(refs);
             },
         );
-        let threads = self.threads;
-        self.measure_pair(
-            "er_roundtrip",
-            "merge",
-            &joined,
-            VARIANT_COMPILED,
-            || {
-                facade_merge_compiled(refs);
-            },
-            VARIANT_PARALLEL,
-            || {
-                facade_merge_parallel(refs, threads);
-            },
-        );
     }
 
     /// The *wide* workload — the daemon's real traffic shape: many small
     /// member schemas over one shared vocabulary, with occasional
     /// attribute-target disagreements (so completion has genuine
-    /// implicit-class work). This is the parallel engine's headline
-    /// family: the merge is dominated by walking all the members
-    /// (sharded interning), the fixpoint frontier (sharded waves), and
-    /// the symbolic materializations the id-space pipeline skips.
+    /// implicit-class work). The merge is dominated by walking all the
+    /// members and the fixpoint frontier; it is recorded absolutely, and
+    /// completion through the pool pairs.
     fn wide(&mut self, members: usize) {
         let family = wide_family(members, 0x51DE);
         let refs: Vec<&WeakSchema> = family.iter().collect();
         let joined = facade_join(refs.iter().copied());
-        let threads = self.threads;
-        self.measure_pair(
-            "wide",
-            "merge",
-            &joined,
-            VARIANT_COMPILED,
-            || {
-                facade_merge_compiled(refs.iter().copied());
-            },
-            VARIANT_PARALLEL,
-            || {
-                facade_merge_parallel(refs.iter().copied(), threads);
-            },
-        );
+        self.measure_single("wide", "merge", &joined, VARIANT_COMPILED, || {
+            facade_merge_compiled(refs.iter().copied());
+        });
         self.complete_pool_pairs("wide", &joined);
     }
 
     /// The taxonomy workload — the 10k-class ontology shape: a
     /// multi-forest class hierarchy *above the sparse-row floor* (4096
-    /// classes), merged as a two-member federated family. Two pairs:
-    ///
-    /// * `compiled-dense` vs `compiled` — the adaptive representation's
-    ///   memory headline. With sparse rows forced off every closure
-    ///   matrix is O(classes²) bits; the default keeps taxonomy rows
-    ///   (a handful of ancestors each) at O(populated ids), and
-    ///   `mem_ratio` reports the peak-heap quotient.
-    /// * `compiled-dense` vs `partitioned` — the pre-adaptive
-    ///   monolithic dense merge against the weakly-connected-component
-    ///   split (one component per forest, merged concurrently across
-    ///   the thread budget). Both taxonomy pairs share the dense
-    ///   monolith as the baseline deliberately: it is the engine this
-    ///   PR retires at scale, and each successor beats it a different
-    ///   way — the sparse monolith through row representation, the
-    ///   partitioned engine by keeping every component's matrices
-    ///   component-sized (components here sit below the sparse floor,
-    ///   so its win is independent of the row representation).
+    /// classes), merged as a two-member federated family. The pair
+    /// `compiled-dense` vs `compiled` is the adaptive representation's
+    /// memory headline: with sparse rows forced off every closure matrix
+    /// is O(classes²) bits; the default keeps taxonomy rows (a handful
+    /// of ancestors each) at O(populated ids), and `mem_ratio` reports
+    /// the peak-heap quotient.
     fn taxonomy_merges(&mut self, classes: usize, forests: usize) {
         let params = TaxonomyParams::dag(classes, forests, 0xC1A55);
         let family = taxonomy_family(&params, 2);
@@ -685,29 +624,6 @@ impl Suite {
                 facade_merge_compiled(refs.iter().copied());
             },
         );
-        let threads = self.threads;
-        self.measure_pair(
-            "taxonomy",
-            "merge",
-            &joined,
-            VARIANT_COMPILED_DENSE,
-            || {
-                set_sparse_enabled(false);
-                facade_merge_compiled(refs.iter().copied());
-                set_sparse_enabled(true);
-            },
-            VARIANT_PARTITIONED,
-            || {
-                black_box(
-                    Merger::new()
-                        .schemas(refs.iter().copied())
-                        .engine(EnginePreference::Partitioned)
-                        .threads(threads)
-                        .execute()
-                        .expect("workload merges"),
-                );
-            },
-        );
     }
 
     /// The registry workload: `members` schemas sharing a large common
@@ -719,8 +635,7 @@ impl Suite {
     /// [`Registry::put`] against a warm cache, which joins the cached
     /// rest-join with the changed member and completes. Both variants
     /// see a *different* changed schema each iteration, so no run
-    /// degenerates into a content-hash no-op. A third pair measures the
-    /// cold full rebuild on the parallel engine.
+    /// degenerates into a content-hash no-op.
     fn registry_publish(&mut self, members: usize, classes: usize) {
         // The shared core: attribute-heavy, label-sparse — the federated
         // supergraph shape (each class carries its own field names, label
@@ -791,30 +706,6 @@ impl Suite {
             || {
                 let changed = inc_pool.pop().expect("enough variants");
                 black_box(registry.put("member-0", changed).expect("publishes"));
-            },
-        );
-        let threads = self.threads;
-        let par_idx = std::cell::Cell::new(0usize);
-        let next_variant = || {
-            let i = par_idx.get();
-            par_idx.set(i + 1);
-            &variants[i % variants.len()]
-        };
-        self.measure_pair(
-            "registry",
-            "publish",
-            &joined,
-            VARIANT_FULL,
-            || {
-                let mut refs: Vec<&WeakSchema> = rest.clone();
-                refs.push(next_variant());
-                facade_merge_compiled(refs);
-            },
-            VARIANT_FULL_PARALLEL,
-            || {
-                let mut refs: Vec<&WeakSchema> = rest.clone();
-                refs.push(next_variant());
-                facade_merge_parallel(refs, threads);
             },
         );
     }
@@ -1133,7 +1024,7 @@ impl Suite {
 /// the sizes the acceptance trajectory tracks (including the 200-class
 /// random workload, the 64-member wide workload, the 32-member registry
 /// workload, the 8- and 32-registry supergraph recompose and the
-/// 6000-class taxonomy). `threads` is the parallel variants' worker
+/// 6000-class taxonomy). `threads` is the supergraph variants' merge
 /// budget.
 pub fn run_suite(quick: bool, threads: usize) -> BenchReport {
     let mut suite = Suite {
@@ -1178,12 +1069,9 @@ pub fn to_json(report: &BenchReport, pr_index: u32, threads: usize) -> String {
         "  \"bench_schema_version\": 5,\n  \"pr\": {pr_index},\n  \"threads\": {threads},\n"
     ));
     out.push_str("  \"records\": [\n");
-    for (i, r) in report.records.iter().enumerate() {
-        let comma = if i + 1 < report.records.len() {
-            ","
-        } else {
-            ""
-        };
+    let total = report.records.len() + report.absolute.len();
+    for (i, r) in report.records.iter().chain(&report.absolute).enumerate() {
+        let comma = if i + 1 < total { "," } else { "" };
         let phases: Vec<String> = r
             .phases
             .iter()
@@ -1275,6 +1163,25 @@ pub fn to_table(report: &BenchReport) -> String {
             s.mem_ratio,
         ));
     }
+    if !report.absolute.is_empty() {
+        out.push_str(&format!(
+            "\n{:<13} {:<9} {:>8} {:>8}  {:>26} {:>12} {:>12} {:>8}\n",
+            "family", "op", "classes", "arrows", "variant", "median µs", "allocs", "peak MiB"
+        ));
+        for r in &report.absolute {
+            out.push_str(&format!(
+                "{:<13} {:<9} {:>8} {:>8}  {:>26} {:>12.1} {:>12} {:>8.1}\n",
+                r.family,
+                r.op,
+                r.n_classes,
+                r.n_arrows,
+                r.variant,
+                r.median_ns as f64 / 1e3,
+                r.allocs_per_iter,
+                r.peak_bytes as f64 / (1024.0 * 1024.0),
+            ));
+        }
+    }
     out
 }
 
@@ -1293,15 +1200,14 @@ mod tests {
         let report = suite.report;
         assert_eq!(
             report.records.len(),
-            12,
-            "3 engine ops + 2 pool pairs + parallel pair, 2 variants each"
+            10,
+            "3 engine ops + 2 pool pairs, 2 variants each"
         );
-        assert_eq!(report.speedups.len(), 6);
+        assert_eq!(report.speedups.len(), 5);
         let json = to_json(&report, 2, 2);
         assert!(json.contains("\"bench_schema_version\": 5"));
         assert!(json.contains("\"threads\": 2"));
         assert!(json.contains("\"variant\": \"compiled\""));
-        assert!(json.contains("\"variant\": \"parallel\""));
         assert!(json.contains("\"variant\": \"compiled-nopool\""));
         assert!(json.contains("\"op\": \"weak_join\""));
         assert!(json.contains("\"baseline\": \"symbolic\""));
@@ -1325,6 +1231,12 @@ mod tests {
         assert_eq!(json.matches('[').count(), json.matches(']').count());
         let table = to_table(&report);
         assert!(table.contains("weak_join"));
+    }
+
+    #[test]
+    fn summarize_takes_median_time_mean_allocs_and_max_peak() {
+        let runs = vec![(30, 10, 5), (10, 20, 9), (20, 30, 7)];
+        assert_eq!(summarize(runs), (20, 20, 9));
     }
 
     #[test]
@@ -1352,7 +1264,7 @@ mod tests {
     }
 
     #[test]
-    fn taxonomy_workload_pairs_representations_and_partitioning() {
+    fn taxonomy_workload_pairs_representations() {
         let mut suite = Suite {
             iters: 1,
             threads: 2,
@@ -1363,17 +1275,12 @@ mod tests {
         // which must also measure cleanly).
         suite.taxonomy_merges(400, 4);
         let report = suite.report;
-        assert_eq!(report.records.len(), 4, "2 pairs, 2 variants each");
-        assert_eq!(report.speedups.len(), 2);
+        assert_eq!(report.records.len(), 2, "1 pair, 2 variants");
+        assert_eq!(report.speedups.len(), 1);
         let rep = &report.speedups[0];
         assert_eq!(
             (rep.baseline, rep.improved),
             (VARIANT_COMPILED_DENSE, VARIANT_COMPILED)
-        );
-        let part = &report.speedups[1];
-        assert_eq!(
-            (part.baseline, part.improved),
-            (VARIANT_COMPILED_DENSE, VARIANT_PARTITIONED)
         );
         for record in &report.records {
             assert_eq!(record.family, "taxonomy");
@@ -1415,7 +1322,7 @@ mod tests {
     }
 
     #[test]
-    fn registry_workload_measures_all_three_paths() {
+    fn registry_workload_pairs_full_against_incremental() {
         let mut suite = Suite {
             iters: 2,
             threads: 2,
@@ -1423,15 +1330,11 @@ mod tests {
         };
         suite.registry_publish(8, 24);
         let report = suite.report;
-        assert_eq!(report.records.len(), 4);
+        assert_eq!(report.records.len(), 2);
         assert!(report
             .records
             .iter()
             .any(|r| r.variant == VARIANT_INCREMENTAL && r.family == "registry"));
-        assert!(report
-            .records
-            .iter()
-            .any(|r| r.variant == VARIANT_FULL_PARALLEL));
         let speedup = &report.speedups[0];
         assert_eq!(speedup.op, "publish");
         assert_eq!(
@@ -1452,7 +1355,6 @@ mod tests {
         let json = to_json(&report, 3, 2);
         assert!(json.contains("\"family\": \"registry\""));
         assert!(json.contains("\"variant\": \"incremental\""));
-        assert!(json.contains("\"variant\": \"full-parallel\""));
         assert!(json.contains("\"commit\": "));
     }
 
@@ -1479,7 +1381,7 @@ mod tests {
     }
 
     #[test]
-    fn wide_workload_pairs_compiled_against_parallel() {
+    fn wide_workload_records_the_compiled_merge() {
         let mut suite = Suite {
             iters: 1,
             threads: 2,
@@ -1487,12 +1389,23 @@ mod tests {
         };
         suite.wide(6);
         let report = suite.report;
-        assert_eq!(report.records.len(), 6, "merge pair + 2 pool pairs");
-        let merge = &report.speedups[0];
-        assert_eq!(merge.family, "wide");
+        assert_eq!(report.records.len(), 4, "2 pool pairs");
+        let merge = &report.absolute[..];
+        assert_eq!(merge.len(), 1, "one absolute merge record");
         assert_eq!(
-            (merge.baseline, merge.improved),
-            (VARIANT_COMPILED, VARIANT_PARALLEL)
+            (merge[0].family, merge[0].op, merge[0].variant),
+            ("wide", "merge", VARIANT_COMPILED)
         );
+        assert!(
+            merge[0]
+                .phases
+                .iter()
+                .any(|(name, _)| *name == "completion"),
+            "the absolute record keeps its phase breakdown"
+        );
+        // Absolute records reach both renderings, after the pairs.
+        let json = to_json(&report, 12, 2);
+        assert_eq!(json.matches("\"variant\": ").count(), 5);
+        assert!(to_table(&report).contains("median µs"));
     }
 }

@@ -1,10 +1,13 @@
-//! The ISSUE-2/ISSUE-4 acceptance property: across every `workload`
-//! generator family, **every plan configuration of the `Merger` façade**
-//! — compiled (the default), symbolic, and compiled-onto-base at every
-//! split of the inputs — agrees with the symbolic `reference` merge:
-//! equal weak joins, equal proper schemas and reports, and (the weaker
-//! public contract) alpha-isomorphism modulo implicit-class naming — and
-//! the compiled representation round-trips losslessly.
+//! The workload-scale differential: across every `workload` generator
+//! family, **every plan configuration of the `Merger` façade** — the
+//! id-space engine at every thread budget, the same engine seeded by a
+//! cached base at several splits of the inputs, and the symbolic engine
+//! — agrees with the symbolic `reference` merge: equal weak joins, equal
+//! proper schemas and reports, and (the weaker public contract)
+//! alpha-isomorphism modulo implicit-class naming — and the compiled
+//! representation round-trips losslessly. The families include
+//! multi-forest taxonomies, whose union graph falls apart into
+//! disconnected vocabularies.
 
 use proptest::prelude::*;
 
@@ -12,23 +15,19 @@ use schema_merge_core::iso::alpha_isomorphic;
 use schema_merge_core::{reference, Class, CompiledSchema, EnginePreference, Merger, WeakSchema};
 use schema_merge_er::to_core;
 use schema_merge_workload::{
-    pathological_nfa, random_er_schema, schema_family, ErParams, SchemaParams,
+    pathological_nfa, random_er_schema, schema_family, taxonomy_family, ErParams, SchemaParams,
+    TaxonomyParams,
 };
 
 fn assert_engines_agree(schemas: &[&WeakSchema]) {
-    // The default (Auto) plan — compiled below the work threshold,
-    // parallel above it; the parallel plan leaves the symbolic join to
-    // an on-demand decompile.
+    // The default (Auto) plan, at the budget the call shape picks; the
+    // symbolic join is decompiled on demand.
     let compiled = Merger::new()
         .schemas(schemas.iter().copied())
         .execute()
         .expect("default merge");
     let symbolic = reference::merge(schemas.iter().copied()).expect("symbolic merge");
-    let compiled_weak = match (compiled.weak.clone(), &compiled.compiled) {
-        (Some(weak), _) => weak,
-        (None, Some(join)) => join.decompile(),
-        (None, None) => unreachable!("batch merges produce a join"),
-    };
+    let compiled_weak = compiled.clone().into_outcome().weak;
     assert_eq!(compiled_weak, symbolic.weak, "weak joins agree");
     assert_eq!(compiled.proper, symbolic.proper, "proper schemas agree");
     assert_eq!(compiled.implicit, symbolic.report, "reports agree");
@@ -41,29 +40,23 @@ fn assert_engines_agree(schemas: &[&WeakSchema]) {
         "alpha-isomorphic modulo implicit naming"
     );
 
-    // The parallel plan configuration, across thread counts (and with
-    // them every partition shape of the input list): equal AND
-    // report-identical to the reference and the compiled engine.
+    // The same engine across thread budgets (and with them every
+    // partition shape of the input list): equal AND report-identical to
+    // the reference, with bit-identical joins.
     for threads in [1, 2, 4, 8] {
-        let parallel = Merger::new()
+        let threaded = Merger::new()
             .schemas(schemas.iter().copied())
-            .engine(EnginePreference::Parallel)
             .threads(threads)
             .execute()
-            .expect("parallel plan");
+            .expect("threaded plan");
         assert_eq!(
-            parallel.proper, symbolic.proper,
-            "parallel plan agrees at {threads} threads"
+            threaded.proper, symbolic.proper,
+            "engine agrees at {threads} threads"
         );
-        assert_eq!(parallel.implicit, symbolic.report);
+        assert_eq!(threaded.implicit, symbolic.report);
         assert_eq!(
-            parallel
-                .compiled
-                .as_ref()
-                .expect("parallel keeps the compiled join")
-                .decompile(),
-            compiled_weak,
-            "parallel join is bit-identical at {threads} threads"
+            threaded.join, compiled.join,
+            "join is bit-identical at {threads} threads"
         );
     }
 
@@ -76,16 +69,14 @@ fn assert_engines_agree(schemas: &[&WeakSchema]) {
     assert_eq!(sym_plan.proper, symbolic.proper, "symbolic plan agrees");
     assert_eq!(sym_plan.implicit, symbolic.report);
 
-    // The onto-base plan configuration, splitting the inputs at the
-    // midpoint (and at zero: completing extras onto the empty base).
+    // Seeded by a cached base, splitting the inputs at the midpoint (and
+    // at zero: completing extras onto the empty base).
     for k in [0, schemas.len() / 2] {
         let base = Merger::new()
             .schemas(schemas[..k].iter().copied())
             .join()
             .expect("base joins")
-            .into_parts()
-            .1
-            .expect("compiled base");
+            .into_compiled();
         let onto = Merger::new()
             .onto_base(&base)
             .schemas(schemas[k..].iter().copied())
@@ -153,6 +144,50 @@ proptest! {
         let family = schema_merge_workload::wide_family(members, seed);
         let refs: Vec<&WeakSchema> = family.iter().collect();
         assert_engines_agree(&refs);
+    }
+
+    #[test]
+    fn taxonomy_family_engines_agree(seed in any::<u64>(), forests in 1usize..5, members in 2usize..4) {
+        // Multi-forest taxonomies: no edge ever crosses a forest, so the
+        // merge joins disconnected vocabularies side by side.
+        let params = TaxonomyParams {
+            branching: 4,
+            labels: 8,
+            ..TaxonomyParams::dag(180, forests, seed)
+        };
+        let family = taxonomy_family(&params, members);
+        let refs: Vec<&WeakSchema> = family.iter().collect();
+        assert_engines_agree(&refs);
+    }
+
+    #[test]
+    fn disconnected_random_family_engines_agree(seed in any::<u64>(), count in 2usize..5) {
+        // A wide vocabulary with few classes per schema leaves the union
+        // graph disconnected most of the time.
+        let params = SchemaParams {
+            vocabulary: 96,
+            classes: 12,
+            labels: 12,
+            arrows: 10,
+            specializations: 5,
+            seed,
+        };
+        let family = schema_family(&params, count);
+        let refs: Vec<&WeakSchema> = family.iter().collect();
+        assert_engines_agree(&refs);
+    }
+
+    #[test]
+    fn pathological_with_isolated_classes_engines_agree(n in 0usize..6, lone in 0usize..3) {
+        // A hard NFA next to isolated classes: the implicit-class
+        // explosion must not leak into the unrelated vocabulary.
+        let nfa = pathological_nfa(n);
+        let mut builder = WeakSchema::builder();
+        for i in 0..lone {
+            builder = builder.class(format!("Lone{i}"));
+        }
+        let isolated = builder.build().unwrap();
+        assert_engines_agree(&[&nfa, &isolated]);
     }
 
     #[test]

@@ -270,6 +270,12 @@ fn render_metrics(
         "1 when the registry is in degraded read-only mode",
         i64::from(health.degraded),
     );
+    render_counter(
+        &mut out,
+        "smerge_snapshot_failures_total",
+        "Automatic snapshots that failed to write (the commits stay durable in the log)",
+        health.snapshot_failures,
+    );
     if let Some(fault) = health.fault_counters {
         render_counter(
             &mut out,
@@ -658,11 +664,12 @@ fn handle_connection(
             Command::Health => {
                 let health = registry.health();
                 let mut detail = format!(
-                    "state={} retries={} degrade_events={} heal_events={}",
+                    "state={} retries={} degrade_events={} heal_events={} snapshot_failures={}",
                     health.state(),
                     health.storage_retries,
                     health.degrade_events,
-                    health.heal_events
+                    health.heal_events,
+                    health.snapshot_failures
                 );
                 if let Some(fault) = health.fault_counters {
                     detail.push_str(&format!(
@@ -964,5 +971,29 @@ mod tests {
         configure_stream(&accepted).unwrap();
         assert_eq!(accepted.read_timeout().unwrap(), Some(READ_TIMEOUT));
         assert_eq!(accepted.write_timeout().unwrap(), Some(WRITE_TIMEOUT));
+    }
+
+    /// A failed automatic snapshot reaches METRICS as a counter.
+    #[test]
+    fn metrics_export_snapshot_failures() {
+        use schema_merge_registry::storage::{
+            Fault, FaultSchedule, FaultStore, MemoryStore, OpKind,
+        };
+        let schedule = FaultSchedule::new(1).fail_nth(OpKind::WriteSnapshot, 1, Fault::Permanent);
+        let registry = Registry::builder()
+            .store(FaultStore::new(MemoryStore::default(), schedule))
+            .snapshot_every(2)
+            .open()
+            .unwrap();
+        for (name, label) in [("a", "x"), ("b", "y")] {
+            let schema = schema_merge_core::WeakSchema::builder()
+                .arrow("C", label, "T")
+                .build()
+                .unwrap();
+            registry.put(name, schema).unwrap();
+        }
+        let text = render_metrics(&registry, &Supergraph::new(), &RequestMetrics::new());
+        assert!(text.contains("smerge_snapshot_failures_total 1"), "{text}");
+        assert!(text.contains("smerge_degraded 0"), "{text}");
     }
 }

@@ -165,6 +165,7 @@ fn daemon_serves_puts_merges_queries_and_shuts_down() {
     assert!(text.contains("smerge_registry_members 2"), "{text}");
     assert!(text.contains("smerge_storage_retry_total 0"), "{text}");
     assert!(text.contains("smerge_degraded 0"), "{text}");
+    assert!(text.contains("smerge_snapshot_failures_total 0"), "{text}");
 
     // HEALTH reports the resilience state: healthy, no retries, no
     // degrade/heal transitions yet.

@@ -876,23 +876,11 @@ fn merge_sorted<'a, T: Ord + ?Sized>(
     out
 }
 
-/// Batch-joins `schemas` with one interning pass: the least upper bound is
-/// computed entirely in id space and returned in both forms, so callers
-/// (notably [`crate::merge::merge_compiled`]) can continue in id space
-/// without recompiling.
-pub(crate) fn join_compiled<'a>(
-    schemas: impl IntoIterator<Item = &'a WeakSchema>,
-) -> Result<(WeakSchema, CompiledSchema), SchemaError> {
-    let schemas: Vec<&WeakSchema> = schemas.into_iter().collect();
-    let compiled = join_compiled_ids(&schemas, 1)?;
-    Ok((compiled.decompile(), compiled))
-}
-
 /// One worker's partition of a sharded join: the direct-edge bit matrix
 /// and raw arrow rows of its input slice, over the *shared* interner
 /// (the global class/label tables every partition indexes with the same
 /// ids). Partials merge by pure bitwise OR — the tree-reduction node of
-/// the parallel engine.
+/// the join.
 struct DensePartial {
     direct: SpecMatrix,
     raw_arrows: Vec<BTreeMap<u32, SpecRow>>,
@@ -903,6 +891,45 @@ impl DensePartial {
         DensePartial {
             direct: SpecMatrix::new(n, words),
             raw_arrows: vec![BTreeMap::new(); n],
+        }
+    }
+
+    /// Copies a compiled base join into the (empty) partial without
+    /// walking it symbolically: its closed rows feed in as direct edges
+    /// (a union of closed relations re-closes to the same result) and
+    /// its CSR runs become per-label target rows. `cmap`/`lmap` send
+    /// base ids to merged-table ids; `cmap` is `None` when no extra class
+    /// sorts before an existing one, which makes every row a plain copy
+    /// (the steady-state registry publish). The remap is monotone, so
+    /// remapped ids still arrive ascending and sparse rows build by
+    /// appends.
+    fn seed(
+        &mut self,
+        base: &CompiledSchema,
+        cmap: Option<&[u32]>,
+        lmap: &[u32],
+        words: usize,
+        pool: &mut ScratchPool,
+    ) {
+        let class = |p: u32| cmap.map_or(p, |map| map[p as usize]);
+        for p in 0..base.classes.len() as u32 {
+            let np = class(p);
+            if cmap.is_none() {
+                self.direct.row_mut(p).or_row(base.supers.row(p));
+            } else {
+                let row = self.direct.row_mut(np);
+                for q in base.supers.row(p).iter() {
+                    row.set(class(q));
+                }
+            }
+            let by_label = &mut self.raw_arrows[np as usize];
+            for (label, (start, end)) in base.pairs_of(p) {
+                let mut bits = empty_row(words, pool);
+                for &t in &base.targets[start as usize..end as usize] {
+                    bits.set(class(t));
+                }
+                by_label.insert(lmap[label as usize], bits);
+            }
         }
     }
 
@@ -962,24 +989,31 @@ impl DensePartial {
     }
 }
 
-/// [`join_compiled`] without the symbolic materialization, sharded over
-/// `threads` workers — the join stage of the parallel engine.
+/// The least upper bound of `schemas` joined onto an optional compiled
+/// `base`, computed entirely in id space and sharded over `threads`
+/// workers — the join stage of the merge engine. The symbolic join is
+/// never built.
 ///
-/// The global class/label tables are built first (sorted unions of the
-/// inputs' already-sorted tables — cheaper than per-insert set
-/// building), so every worker interns against the *same* id space. The
-/// input list is then partitioned into contiguous chunks, each worker
-/// walks its chunk into a [`DensePartial`], and the partials are
-/// reduced pairwise in a tree of scoped workers. One closure pass at
-/// the root finishes the job: closing once over the OR of the partials
-/// equals closing at every tree node (a union of closed relations
-/// re-closes to the same result), so the result is identical to the
-/// sequential [`join_compiled`] at every thread count — only cheaper.
+/// The global class/label tables are built first: sorted unions of the
+/// base's tables (already sorted) and the inputs' already-sorted tables,
+/// so every worker interns against the *same* id space. The input list
+/// is then partitioned into contiguous chunks, each worker walks its
+/// chunk into a [`DensePartial`], and the partials are reduced pairwise
+/// in a tree of scoped workers. The base enters the first chunk's
+/// partial as a compiled artifact ([`DensePartial::seed`]): only the
+/// inputs pay the symbolic interning walk, which is what makes the
+/// registry's incremental re-merge proportional to the changed member.
+/// One closure pass at the root finishes the job: closing once over the
+/// OR of the partials equals closing at every tree node (a union of
+/// closed relations re-closes to the same result), so the result is
+/// identical at every thread count, and identical to joining the base's
+/// decompiled form like any other input.
 pub(crate) fn join_compiled_ids(
+    base: Option<&CompiledSchema>,
     schemas: &[&WeakSchema],
     threads: usize,
 ) -> Result<CompiledSchema, SchemaError> {
-    let mut merged: Vec<&Class> = Vec::new();
+    let mut merged: Vec<&Class> = base.map_or_else(Vec::new, |base| base.classes.iter().collect());
     for schema in schemas {
         merged = merge_sorted(&merged, schema.classes());
     }
@@ -989,35 +1023,63 @@ pub(crate) fn join_compiled_ids(
             labels.extend(by_label.keys());
         }
     }
-    let class_vec: Vec<Class> = merged.into_iter().cloned().collect();
-    let label_vec: Vec<Label> = labels.into_iter().cloned().collect();
+    let base_labels: Vec<&Label> = base.map_or_else(Vec::new, |base| base.labels.iter().collect());
+    let merged_labels = merge_sorted(&base_labels, labels.into_iter());
 
-    let mut parts = RawDense::new(class_vec, label_vec);
-    let n = parts.classes.len();
-    let words = parts.words();
-    let cid: FastMap<&Class, u32> = parts
-        .classes
+    // Old-id → new-id maps by a linear co-walk (both tables sorted; every
+    // base symbol survives into the union).
+    fn remap<T: Ord>(old: &[T], merged: &[&T]) -> Vec<u32> {
+        let mut map = Vec::with_capacity(old.len());
+        let mut j = 0usize;
+        for symbol in old {
+            while merged[j] != symbol {
+                j += 1;
+            }
+            map.push(j as u32);
+            j += 1;
+        }
+        map
+    }
+    let seed = base.map(|base| {
+        let cmap = remap(&base.classes, &merged);
+        let lmap = remap(&base.labels, &merged_labels);
+        let ids_stable = cmap.iter().enumerate().all(|(i, &m)| i as u32 == m);
+        (base, (!ids_stable).then_some(cmap), lmap)
+    });
+
+    let classes: Vec<Class> = merged.into_iter().cloned().collect();
+    let labels: Vec<Label> = merged_labels.into_iter().cloned().collect();
+    let n = classes.len();
+    let words = n.div_ceil(64);
+    let cid: FastMap<&Class, u32> = classes
         .iter()
         .enumerate()
         .map(|(i, c)| (c, i as u32))
         .collect();
-    let lid: FastMap<&Label, u32> = parts
-        .labels
+    let lid: FastMap<&Label, u32> = labels
         .iter()
         .enumerate()
         .map(|(i, l)| (l, i as u32))
         .collect();
 
-    let workers = parallel::throttled_threads(threads, schemas.len(), 8);
-    let mut partials = parallel::map_chunks(schemas.len(), workers, |range| {
+    let chunk = |range: std::ops::Range<usize>| {
         let mut partial = DensePartial::new(n, words);
         scratch::with_pool(|pool| {
+            if let (0, Some((base, cmap, lmap))) = (range.start, &seed) {
+                partial.seed(base, cmap.as_deref(), lmap, words, pool);
+            }
             for schema in &schemas[range] {
                 partial.intern(schema, &cid, &lid, words, pool);
             }
         });
         partial
-    });
+    };
+    let workers = parallel::throttled_threads(threads, schemas.len(), 8);
+    let mut partials = parallel::map_chunks(schemas.len(), workers, chunk);
+    if partials.is_empty() {
+        // No inputs: the join is the base alone (or empty).
+        partials.push(chunk(0..0));
+    }
     // Pairwise tree reduction. OR is commutative/associative, so the
     // result is the same whatever the pairing; rounds of scoped workers
     // keep the reduction depth logarithmic in the partition count.
@@ -1058,13 +1120,19 @@ pub(crate) fn join_compiled_ids(
         };
         partials.extend(leftover);
     }
-    if let Some(total) = partials.pop() {
-        parts.direct = total.direct;
-        parts.raw_arrows = total.raw_arrows;
-    }
+    let total = partials.pop().expect("the reduction leaves one partial");
 
     drop((cid, lid));
-    Ok(compile_dense_mt(parts, threads)?)
+    let parts = RawDense {
+        classes,
+        labels,
+        direct: total.direct,
+        raw_arrows: total.raw_arrows,
+    };
+    // A base-seeded join adds a few inputs to an already-closed base;
+    // its closure is too small a delta to repay worker spawns.
+    let closure_threads = if base.is_some() { 1 } else { threads };
+    Ok(compile_dense_mt(parts, closure_threads)?)
 }
 
 /// Builds the canonical-class view of a proper schema in id space: for
@@ -1111,131 +1179,6 @@ pub(crate) fn canonical_map(
         }
     }
     Ok(canonical)
-}
-
-/// Joins `extras` onto an already-compiled join result without walking
-/// the base symbolically: the base's class/label tables, closed bit rows
-/// and CSR arrows transfer through an old-id → new-id remap (pure row
-/// copies when the extras introduce no symbol sorting before an existing
-/// one), and only the extras pay the symbolic interning walk.
-///
-/// This is the *cross-generation interner reuse* behind the registry's
-/// incremental re-merge: the cached join of the unchanged members enters
-/// the next join as a compiled artifact, so a publish pays interning
-/// proportional to the changed member, not the whole member set. The
-/// result is identical to [`join_compiled`] over the base's decompiled
-/// form plus the extras — both feed the same closed relations into the
-/// same closure engine.
-pub(crate) fn join_onto_compiled(
-    base: &CompiledSchema,
-    extras: &[&WeakSchema],
-) -> Result<CompiledSchema, SchemaError> {
-    // Merged symbol tables: sorted unions of the base tables (already
-    // sorted) and the extras' symbols.
-    let mut merged_classes: Vec<&Class> = base.classes.iter().collect();
-    for schema in extras {
-        merged_classes = merge_sorted(&merged_classes, schema.classes());
-    }
-    let mut merged_labels: Vec<&Label> = base.labels.iter().collect();
-    for schema in extras {
-        let mut extra: BTreeSet<&Label> = BTreeSet::new();
-        for by_label in schema.arrows.values() {
-            extra.extend(by_label.keys());
-        }
-        merged_labels = merge_sorted(&merged_labels, extra.into_iter());
-    }
-
-    // Old-id → new-id maps by a linear co-walk (both tables sorted; every
-    // base symbol survives into the union).
-    fn remap<T: Ord>(old: &[T], merged: &[&T]) -> Vec<u32> {
-        let mut map = Vec::with_capacity(old.len());
-        let mut j = 0usize;
-        for symbol in old {
-            while merged[j] != symbol {
-                j += 1;
-            }
-            map.push(j as u32);
-            j += 1;
-        }
-        map
-    }
-    let cmap = remap(&base.classes, &merged_classes);
-    let lmap = remap(&base.labels, &merged_labels);
-    // Identity iff no extra symbol sorts before an existing one (in
-    // particular whenever the extras' symbols all already exist — the
-    // steady-state registry publish).
-    let ids_stable = cmap.iter().enumerate().all(|(i, &m)| i as u32 == m);
-
-    let class_vec: Vec<Class> = merged_classes.into_iter().cloned().collect();
-    let label_vec: Vec<Label> = merged_labels.into_iter().cloned().collect();
-    let mut parts = RawDense::new(class_vec, label_vec);
-    let words = parts.words();
-
-    // Base specializations: the closed rows feed in as direct edges (a
-    // union of closed relations re-closes to the same result). The
-    // seeded rows are empty, so OR-ing a base row in is a copy; under a
-    // remap the ids re-enter ascending (the remap is monotone), keeping
-    // sparse accumulation append-only.
-    for p in 0..base.classes.len() as u32 {
-        if ids_stable {
-            parts.direct.row_mut(p).or_row(base.supers.row(p));
-        } else {
-            let row = parts.direct.row_mut(cmap[p as usize]);
-            for q in base.supers.row(p).iter() {
-                row.set(cmap[q as usize]);
-            }
-        }
-    }
-    // Base arrows: CSR runs become per-label rows under the remap (the
-    // CSR targets are ascending, so these build append-only too).
-    for p in 0..base.classes.len() as u32 {
-        let np = if ids_stable { p } else { cmap[p as usize] };
-        let row = &mut parts.raw_arrows[np as usize];
-        for (label, (start, end)) in base.pairs_of(p) {
-            let mut bits = SpecRow::empty(words);
-            for &t in &base.targets[start as usize..end as usize] {
-                bits.set(if ids_stable { t } else { cmap[t as usize] });
-            }
-            row.insert(lmap[label as usize], bits);
-        }
-    }
-
-    // Extras: the same symbolic walk as `join_compiled`, unioning into
-    // the seeded rows.
-    let cid: FastMap<&Class, u32> = parts
-        .classes
-        .iter()
-        .enumerate()
-        .map(|(i, c)| (c, i as u32))
-        .collect();
-    let lid: FastMap<&Label, u32> = parts
-        .labels
-        .iter()
-        .enumerate()
-        .map(|(i, l)| (l, i as u32))
-        .collect();
-    for schema in extras {
-        for (sub, sups) in &schema.supers {
-            let row = parts.direct.row_mut(cid[sub]);
-            for sup in sups {
-                row.set(cid[sup]);
-            }
-        }
-        for (src, by_label) in &schema.arrows {
-            let by_label_ids = &mut parts.raw_arrows[cid[src] as usize];
-            for (label, tgts) in by_label {
-                let bits = by_label_ids
-                    .entry(lid[label])
-                    .or_insert_with(|| SpecRow::empty(words));
-                for tgt in tgts {
-                    bits.set(cid[tgt]);
-                }
-            }
-        }
-    }
-
-    drop((cid, lid));
-    Ok(compile_dense(parts)?)
 }
 
 /// Builds the completed schema `(C̄, Ē, S̄)` in id space — the compiled
@@ -1964,15 +1907,45 @@ mod tests {
             parallel::throttled_threads(8, refs.len(), 8) >= 4,
             "the test must actually shard"
         );
-        let sequential = join_compiled_ids(&refs, 1).unwrap();
+        let sequential = join_compiled_ids(None, &refs, 1).unwrap();
         for threads in [2, 3, 4, 8] {
-            let sharded = join_compiled_ids(&refs, threads).unwrap();
+            let sharded = join_compiled_ids(None, &refs, threads).unwrap();
             assert_eq!(sharded, sequential, "bit-identical at {threads} threads");
         }
-        // And equal to the historical batch join.
-        let (weak, compiled) = join_compiled(refs.iter().copied()).unwrap();
-        assert_eq!(compiled, sequential);
-        assert_eq!(weak, sequential.decompile());
+        // And equal to the symbolic reference join.
+        let expected = crate::reference::weak_join_all(refs.iter().copied()).unwrap();
+        assert_eq!(sequential.decompile(), expected);
+        // A compiled base seeds the same join at every thread count and
+        // at every split of the inputs into (base, extras).
+        for k in [0, 1, 13, refs.len()] {
+            let base = join_compiled_ids(None, &refs[..k], 1).unwrap();
+            for threads in [1, 4] {
+                let onto = join_compiled_ids(Some(&base), &refs[k..], threads).unwrap();
+                assert_eq!(onto, sequential, "split {k} at {threads} threads");
+            }
+        }
+    }
+
+    #[test]
+    fn base_seed_remaps_ids_when_extras_sort_first() {
+        // Extras introduce a class and a label that sort before every
+        // base symbol, so every base id shifts: the remapped seed must
+        // still equal joining the base's symbolic form.
+        let base_schema = sample();
+        let extra = WeakSchema::builder()
+            .specialize("Aardvark", "Dog")
+            .arrow("Aardvark", "aa-first", "Breed")
+            .build()
+            .unwrap();
+        let base = CompiledSchema::compile(&base_schema);
+        let onto = join_compiled_ids(Some(&base), &[&extra], 1).unwrap();
+        assert_ne!(onto.class_id(&c("Dog")), base.class_id(&c("Dog")));
+        let direct = join_compiled_ids(None, &[&base_schema, &extra], 1).unwrap();
+        assert_eq!(onto, direct);
+        assert_eq!(
+            onto.decompile(),
+            crate::reference::weak_join_all([&base_schema, &extra]).unwrap()
+        );
     }
 
     #[test]

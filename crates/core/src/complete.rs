@@ -127,8 +127,8 @@ pub fn imp_state_count(compiled: &CompiledSchema, threads: usize) -> usize {
 
 /// [`complete_with_report`] reusing an already-compiled form of `weak` —
 /// the interner-reuse fast path, public so callers holding a partial
-/// join (both representations off a compiled-engine
-/// [`crate::Merger::join`]) can complete it without recompiling.
+/// join in both forms ([`crate::Joined::into_compiled`] and its
+/// decompile) can complete it without recompiling.
 ///
 /// `compiled` must be the compiled twin of `weak`, as returned alongside
 /// it by the join; passing the compiled form of a *different* schema
@@ -144,9 +144,9 @@ pub fn complete_compiled(
 /// id-space pipeline behind the registry's incremental re-merge: the
 /// symbolic schema is materialized exactly once, for the completed
 /// result, instead of once for the join and again for the completion.
-/// The engine behind the merger's onto-base completion pass and the
-/// parallel engine's completion stage. `threads` shards the `Imp`
-/// fixpoint's frontier (results are identical at every thread count).
+/// The merger's completion pass on the id-space engine. `threads`
+/// shards the `Imp` fixpoint's frontier (results are identical at every
+/// thread count).
 pub(crate) fn complete_from_compiled_impl(
     compiled: &CompiledSchema,
     threads: usize,

@@ -14,8 +14,8 @@
 //! antisymmetric; incompatibility is reported with a cycle witness.
 //!
 //! **The entry point is the [`crate::merger::Merger`] façade** — one
-//! builder over the symbolic, compiled and incremental (onto-base)
-//! engines and every constraint pass. The historical pre-façade free
+//! builder over the id-space engine (one-shot or onto a cached base),
+//! the symbolic reference engine and every constraint pass. The historical pre-façade free
 //! functions (`merge`, `merge_compiled`, `merge_consistent`,
 //! `weak_join_all`, `weak_join_all_compiled`, `weak_join_onto_compiled`)
 //! lived here as deprecated shims for several releases and have been
@@ -138,8 +138,7 @@ impl MergeSession {
     /// the session's compiled base.
     pub fn add_schema(&mut self, schema: &WeakSchema) -> Result<(), MergeError> {
         let joined = Merger::new().onto_base(&self.base).schema(schema).join()?;
-        let (_, compiled) = joined.into_parts();
-        self.base = compiled.expect("the onto-base engine stays compiled");
+        self.base = joined.into_compiled();
         self.current = std::sync::OnceLock::new();
         Ok(())
     }
@@ -217,26 +216,20 @@ mod tests {
         Merger::new().schemas(schemas).join().map(Joined::into_weak)
     }
 
-    /// The n-ary join on the batch compiled engine, both representations.
+    /// The n-ary join through the façade, both representations.
     fn join_all_compiled<'a>(
         schemas: impl IntoIterator<Item = &'a WeakSchema>,
     ) -> Result<(WeakSchema, CompiledSchema), MergeError> {
-        let (weak, compiled) = Merger::new()
-            .schemas(schemas)
-            .engine(EnginePreference::Compiled)
-            .join()?
-            .into_parts();
-        Ok((weak.unwrap(), compiled.unwrap()))
+        let compiled = Merger::new().schemas(schemas).join()?.into_compiled();
+        Ok((compiled.decompile(), compiled))
     }
 
-    /// The paper's full merge through the façade (compiled engine, so
-    /// the outcome triple carries the symbolic weak join).
+    /// The paper's full merge through the façade, as the outcome triple.
     fn merge_all<'a>(
         schemas: impl IntoIterator<Item = &'a WeakSchema>,
     ) -> Result<MergeOutcome, MergeError> {
         Merger::new()
             .schemas(schemas)
-            .engine(EnginePreference::Compiled)
             .execute()
             .map(crate::merger::MergeReport::into_outcome)
     }
@@ -573,7 +566,7 @@ mod tests {
     }
 
     #[test]
-    fn join_onto_compiled_equals_symbolic_join() {
+    fn onto_base_join_equals_symbolic_join() {
         let g1 = dog_schema_one();
         let g2 = dog_schema_two();
         // Extras whose symbols all exist (id-stable), sort before existing
@@ -587,13 +580,12 @@ mod tests {
         ] {
             let extra = extra.unwrap();
             let (_, base) = join_all_compiled([&g1, &g2]).unwrap();
-            let (_, compiled) = Merger::new()
+            let compiled = Merger::new()
                 .onto_base(&base)
                 .schema(&extra)
                 .join()
                 .unwrap()
-                .into_parts();
-            let compiled = compiled.unwrap();
+                .into_compiled();
             let direct = join_all([&g1, &g2, &extra]).unwrap();
             assert_eq!(compiled.decompile(), direct);
             // The compiled join chains straight into completion: a
@@ -606,7 +598,7 @@ mod tests {
     }
 
     #[test]
-    fn join_onto_compiled_reports_incompatibility() {
+    fn onto_base_join_reports_incompatibility() {
         let up = WeakSchema::builder().specialize("A", "B").build().unwrap();
         let (_, base) = join_all_compiled([&up]).unwrap();
         let down = WeakSchema::builder().specialize("B", "A").build().unwrap();

@@ -28,23 +28,30 @@
 //! # Ok::<(), schema_merge_core::MergeError>(())
 //! ```
 //!
-//! ## Engines
+//! ## The engine
 //!
-//! Planning resolves an [`EnginePreference`] into the [`PlannedEngine`]
-//! that actually runs:
+//! Every upper merge runs one pipeline, entirely in id space
+//! ([`crate::compile`]): the inputs are interned into dense ids against
+//! one shared symbol table, joined by a tree reduction of per-chunk bit
+//! rows, closed on bitsets and CSR adjacency, and completed by the
+//! frontier-sharded `Imp` fixpoint. The symbolic join is never built;
+//! [`Joined::into_weak`] decompiles it when a caller asks. Two inputs
+//! shape the run without changing its result:
 //!
-//! * **`Compiled`** (the default) — inputs are interned once into dense
-//!   ids; join and completion run on bitset closures and CSR adjacency
-//!   ([`crate::compile`]).
-//! * **`CompiledOntoBase`** — chosen automatically when
-//!   [`Merger::onto_base`] supplies a cached [`CompiledSchema`]: the base
-//!   is transferred in id space and only the extra inputs are interned
-//!   (the registry's incremental re-merge shape).
-//! * **`Symbolic`** — the retained reference algorithms
-//!   ([`crate::reference`]), for differential testing.
+//! * **the thread budget** ([`MergePlan::threads`]) — 1 is the
+//!   sequential case; one-shot merges of at least
+//!   [`PARALLEL_INPUT_THRESHOLD`] inputs or
+//!   [`PARALLEL_WORK_THRESHOLD`] work units default to the machine's
+//!   parallelism, and [`Merger::threads`] always wins;
+//! * **a cached base** ([`Merger::onto_base`]) — the base's sorted
+//!   symbol tables and closed rows seed the same join, so only the other
+//!   inputs are interned (the registry's incremental re-merge shape).
 //!
-//! All three produce **equal** results (property-tested per workload
-//! family); the engine is a cost choice, never a semantics choice.
+//! [`EnginePreference::Symbolic`] instead runs the retained reference
+//! algorithms ([`crate::reference`]), the differential-testing oracle,
+//! and lower mode always runs symbolically. Both engines produce
+//! **equal** results (property-tested per workload family); the engine
+//! is a cost choice, never a semantics choice.
 //!
 //! ## Modes
 //!
@@ -68,7 +75,6 @@ use crate::lower::{
 };
 use crate::name::Label;
 use crate::parallel;
-use crate::partition::{self, Partitioning};
 use crate::proper::ProperSchema;
 use crate::weak::WeakSchema;
 use schema_merge_telemetry::{self as telemetry, SpanRecord};
@@ -79,29 +85,12 @@ use std::fmt;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 #[non_exhaustive]
 pub enum EnginePreference {
-    /// Let the planner pick: the compiled engine for small merges, the
-    /// parallel engine once the [work estimate](MergePlan::work_units)
-    /// crosses [`PARALLEL_WORK_THRESHOLD`], and the onto-base engine when
-    /// a cached base was supplied. The right choice outside differential
-    /// tests.
+    /// The id-space engine (symbolic in lower mode, which has no
+    /// compiled variant). The right choice outside differential tests.
     #[default]
     Auto,
     /// Force the retained symbolic reference algorithms.
     Symbolic,
-    /// Force the compiled engine (re-interning the base if one was
-    /// supplied).
-    Compiled,
-    /// Force the parallel engine: sharded interning against a shared
-    /// interner, tree-reduction join, frontier-parallel completion —
-    /// end-to-end in id space ([`crate::parallel`]).
-    Parallel,
-    /// Force the partition pass: split the merge along weakly-connected
-    /// components of the combined specialization+arrow graph and merge
-    /// each component independently, joining at the (empty) seams. Falls
-    /// back to `Auto` resolution when the graph is a single component or
-    /// the shape is ineligible (lower mode, annotated inputs, a cached
-    /// base).
-    Partitioned,
 }
 
 /// The engine a [`MergePlan`] resolved to.
@@ -110,28 +99,10 @@ pub enum EnginePreference {
 pub enum PlannedEngine {
     /// Symbolic `BTreeMap`/`BTreeSet` algorithms ([`crate::reference`]).
     Symbolic,
-    /// Dense-id bitset/CSR engine ([`crate::compile`]).
+    /// The id-space engine ([`crate::compile`]) over
+    /// [`MergePlan::threads`] workers, seeded by the cached base when
+    /// one was supplied. Bit-identical results at every thread count.
     Compiled,
-    /// Compiled engine joining extras onto a cached compiled base.
-    CompiledOntoBase,
-    /// Tree-reduction join and frontier-parallel completion over
-    /// [`MergePlan::threads`] scoped workers, never materializing the
-    /// symbolic join ([`MergeReport::weak`] is `None`, as on the
-    /// onto-base path). Bit-identical results to [`Compiled`]
-    /// (`proper`, `implicit` and every downstream pass) at every thread
-    /// count.
-    ///
-    /// [`Compiled`]: PlannedEngine::Compiled
-    Parallel,
-    /// The merge splits along the [`MergePlan::partitions`]
-    /// weakly-connected components of the combined specialization+arrow
-    /// graph; each component merges independently (resolving its own
-    /// sub-engine, so big components still run the parallel pipeline) and
-    /// the results join at the seams as a disjoint union. Results equal
-    /// every other engine's; [`MergeReport::weak`] is stitched from the
-    /// component joins and [`MergeReport::compiled`] is `None` (no single
-    /// interner spans the components).
-    Partitioned,
 }
 
 impl PlannedEngine {
@@ -140,9 +111,6 @@ impl PlannedEngine {
         match self {
             PlannedEngine::Symbolic => "symbolic",
             PlannedEngine::Compiled => "compiled",
-            PlannedEngine::CompiledOntoBase => "compiled-onto-base",
-            PlannedEngine::Parallel => "parallel",
-            PlannedEngine::Partitioned => "partitioned",
         }
     }
 }
@@ -222,30 +190,20 @@ impl fmt::Display for MergePass {
     }
 }
 
-/// The [work-unit](MergePlan::work_units) level at which an `Auto` plan
-/// switches from the sequential compiled engine to the parallel engine.
-/// Below it, the parallel pipeline's setup (shared-interner tables, wave
-/// buffers, worker spawns) costs more than it saves; above it, the merge
-/// is dominated by interning and the `Imp` fixpoint, both of which the
-/// parallel engine shards.
+/// The [work-unit](MergePlan::work_units) level at which a one-shot
+/// merge's default thread budget switches from 1 to the machine's
+/// parallelism. Below it, worker spawns and per-worker buffers cost more
+/// than they save; above it, the merge is dominated by interning and the
+/// `Imp` fixpoint, both of which the engine shards.
 pub const PARALLEL_WORK_THRESHOLD: u64 = 10_000;
 
-/// The input count at which an `Auto` plan switches to the parallel
-/// engine regardless of the work estimate: with this many member
+/// The input count at which a one-shot merge defaults to the machine's
+/// parallelism regardless of the work estimate: with this many member
 /// schemas the merge is dominated by walking the inputs (the wide
-/// registry-rebuild shape), which the parallel join shards perfectly —
-/// per-input size signals cannot see this, because the collisions that
-/// make such merges expensive only materialize in the join.
+/// registry-rebuild shape), which the join shards perfectly — per-input
+/// size signals cannot see this, because the collisions that make such
+/// merges expensive only materialize in the join.
 pub const PARALLEL_INPUT_THRESHOLD: usize = 16;
-
-/// The class count at which `Auto` planning pays for the
-/// weakly-connected-component analysis that can split the merge into
-/// independent partitions. Below it the analysis walk costs more than
-/// partitioning could save; above it a disconnected vocabulary (taxonomy
-/// forests, federations of unrelated domains) merges per component,
-/// bounding both wall time and the peak closure footprint by the largest
-/// component instead of the whole vocabulary.
-pub const PARTITION_CLASS_THRESHOLD: usize = 4096;
 
 /// What a [`Merger`] will do when executed: engine, passes and an
 /// estimate of the work involved. Produced by [`Merger::plan`] — cheap,
@@ -256,17 +214,18 @@ pub struct MergePlan {
     /// Upper or lower merge.
     pub mode: MergeMode,
     /// The engine that will run. When annotated inputs force the
-    /// participation-aware join, the closure and completion still run on
-    /// this engine, but the compiled join is not retained
-    /// ([`MergeReport::compiled`] is `None`): the participation
-    /// bookkeeping lives on the symbolic representation.
+    /// participation-aware join, that join is symbolic (the
+    /// participation bookkeeping lives on the symbolic representation)
+    /// and completion still runs on this engine.
     pub engine: PlannedEngine,
     /// The worker-thread budget: the caller's [`Merger::threads`] if
-    /// set, the machine's available parallelism when the parallel
-    /// engine was auto-selected, 1 otherwise. At execution time the
-    /// budget is additionally capped at the machine's available
-    /// parallelism (oversubscribing cores with CPU-bound bit sweeps
-    /// only adds scheduler overhead).
+    /// set; otherwise the machine's available parallelism for a one-shot
+    /// compiled merge of at least [`PARALLEL_INPUT_THRESHOLD`] inputs or
+    /// [`PARALLEL_WORK_THRESHOLD`] work units, and 1 for everything else
+    /// (onto-base, annotated, symbolic and small merges). At execution
+    /// time the budget is additionally capped at the machine's available
+    /// parallelism (oversubscribing cores with CPU-bound bit sweeps only
+    /// adds scheduler overhead).
     pub threads: usize,
     /// The passes, in execution order.
     pub passes: Vec<MergePass>,
@@ -293,16 +252,11 @@ pub struct MergePlan {
     /// this is the inputs' NFA branching — the driver of the `Imp`
     /// fixpoint's state count.
     pub estimated_arrow_pairs: usize,
-    /// The weakly-connected components a
-    /// [`Partitioned`](PlannedEngine::Partitioned) plan merges
-    /// independently. `1` on every other plan (including plans that never
-    /// ran the component analysis).
-    pub partitions: usize,
 }
 
 impl MergePlan {
     /// A scalar work estimate combining input size with closure density,
-    /// used by `Auto` planning to route merges to the parallel engine.
+    /// used by planning to pick the default thread budget.
     ///
     /// Linear terms count the symbols the join walks (classes, arrows)
     /// and the closed specialization pairs the closure and `MinS`/`MaxS`
@@ -325,7 +279,7 @@ impl MergePlan {
     /// instead. The old mild-excess weight was the dense row width
     /// (every extra target paid a `classes`-wide sweep), which
     /// over-routed large *sparse* taxonomies — 10k classes, shallow
-    /// closure — to the parallel engine even when their actual `MinS`
+    /// closure — to a parallel budget even when their actual `MinS`
     /// sweeps touch only the handful of ancestors each adaptive row
     /// stores. With adaptive rows the sweep cost is the average closed
     /// row population (`spec_pairs / classes`), so that is the weight.
@@ -359,15 +313,8 @@ impl fmt::Display for MergePlan {
             "plan: {} merge, engine={}, inputs={}",
             self.mode, self.engine, self.num_inputs
         )?;
-        if self.engine == PlannedEngine::Parallel {
+        if self.threads > 1 {
             write!(f, ", threads={}", self.threads)?;
-        }
-        if self.engine == PlannedEngine::Partitioned {
-            write!(
-                f,
-                ", partitions={}, threads={}",
-                self.partitions, self.threads
-            )?;
         }
         if self.num_assertions > 0 {
             write!(f, " (+{} assertions)", self.num_assertions)?;
@@ -419,15 +366,14 @@ pub struct InputProvenance {
 
 /// The phase-level execution trace of one merge: every telemetry span
 /// the engine emitted while executing the plan — one per executed
-/// [`MergePass`] (named by [`MergePass::as_str`]), plus the
-/// `partition-split`/`partition-stitch` bookkeeping of a partitioned
-/// plan and one `merge` root span covering the whole execution.
-/// Collected only when [`Merger::trace`] asked for it; a trace never
-/// changes the merge result, only observes it.
+/// [`MergePass`] (named by [`MergePass::as_str`]) under one `merge` root
+/// span covering the whole execution. Collected only when
+/// [`Merger::trace`] asked for it; a trace never changes the merge
+/// result, only observes it.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct MergeTrace {
     /// The captured spans, in completion order (children before
-    /// parents on the same thread; partitioned component spans first).
+    /// parents).
     pub spans: Vec<SpanRecord>,
 }
 
@@ -446,9 +392,7 @@ fn human_ns(ns: u64) -> String {
 }
 
 impl MergeTrace {
-    /// The root `merge` span (the last one captured: a partitioned
-    /// plan's component sub-merges contribute their own inner `merge`
-    /// spans, which finish before the outer root does).
+    /// The root `merge` span.
     pub fn root(&self) -> Option<&SpanRecord> {
         self.spans.iter().rev().find(|span| span.name == "merge")
     }
@@ -458,9 +402,8 @@ impl MergeTrace {
         self.root().map_or(0, |root| root.duration_ns)
     }
 
-    /// Total duration per phase name, in first-appearance order —
-    /// every non-root span summed by name, so a partitioned merge's
-    /// per-component `join` spans fold into one `join` entry.
+    /// Total duration per phase name, in first-appearance order — every
+    /// non-root span summed by name.
     pub fn phase_ns(&self) -> Vec<(&'static str, u64)> {
         let mut totals: Vec<(&'static str, u64)> = Vec::new();
         for span in &self.spans {
@@ -527,12 +470,13 @@ impl MergeTrace {
 pub struct MergeReport {
     /// The plan that was executed.
     pub plan: MergePlan,
-    /// The weak join of the inputs (upper mode) or the GLB schema (lower
-    /// mode). `None` on the onto-base and parallel paths, where
-    /// materializing the pre-completion join symbolically would cost an
-    /// extra decompile those engines exist to avoid — the completed
-    /// schema is [`MergeReport::proper`] either way.
-    pub weak: Option<WeakSchema>,
+    /// The pre-completion join of the inputs (upper mode) or the GLB
+    /// schema (lower mode). `None` exactly when the plan has no
+    /// [`MergePass::Join`]: a cached base completed with nothing joined
+    /// onto it, where the base itself is the join and the caller already
+    /// holds it. The completed schema is [`MergeReport::proper`] either
+    /// way.
+    pub join: Option<Joined>,
     /// The completed merged schema — the paper's `Ḡ`.
     pub proper: ProperSchema,
     /// The implicit-class table: which meet classes completion introduced
@@ -551,12 +495,6 @@ pub struct MergeReport {
     /// Structured diagnostics from planning and execution. Fatal errors
     /// are returned as `Err` from [`Merger::execute`] instead.
     pub diagnostics: Vec<Diagnostic>,
-    /// The compiled form of the weak join, when the compiled engine ran
-    /// a join — the interner a later incremental merge (or the
-    /// registry's join cache) can build on. `None` when a cached base
-    /// was completed with nothing joined onto it: the base itself is the
-    /// join, and the caller already holds it.
-    pub compiled: Option<CompiledSchema>,
     /// The phase-level execution trace — present only when the merge
     /// ran with [`Merger::trace`] enabled. Purely observational: every
     /// other field is bit-identical with tracing on or off.
@@ -570,25 +508,20 @@ pub struct MergeReport {
 
 impl MergeReport {
     /// Extracts the historical outcome triple (weak join, proper schema,
-    /// completion report) that pre-façade callers consume. Plans that
-    /// skip the symbolic join (parallel, onto-base with extras)
-    /// decompile their compiled join here, on demand.
+    /// completion report) that pre-façade callers consume, decompiling
+    /// the join on demand ([`Joined::into_weak`]).
     ///
     /// # Panics
     ///
     /// When the report came from a base-only plan (nothing was joined,
-    /// so no join representation exists — the caller already holds the
-    /// base; see [`MergeReport::weak`]).
+    /// so no join exists — the caller already holds the base; see
+    /// [`MergeReport::join`]).
     pub fn into_outcome(self) -> crate::merge::MergeOutcome {
-        let weak = match (self.weak, &self.compiled) {
-            (Some(weak), _) => weak,
-            (None, Some(compiled)) => compiled.decompile(),
-            (None, None) => {
-                panic!("base-only plans carry no join; the caller already holds the base")
-            }
-        };
+        let join = self
+            .join
+            .expect("base-only plans carry no join; the caller already holds the base");
         crate::merge::MergeOutcome {
-            weak,
+            weak: join.into_weak(),
             proper: self.proper,
             report: self.implicit,
         }
@@ -632,41 +565,52 @@ impl MergeReport {
     }
 }
 
-/// The result of [`Merger::join`]: the pre-completion least upper bound,
-/// in whichever representations the engine produced.
-#[derive(Debug, Clone)]
-pub struct Joined {
-    weak: Option<WeakSchema>,
-    compiled: Option<CompiledSchema>,
+/// The pre-completion least upper bound ([`Merger::join`],
+/// [`MergeReport::join`]). It holds whichever form the run computed
+/// (compiled on the id-space engine, symbolic on the reference engine,
+/// the participation-aware join and lower mode) and converts on demand,
+/// so callers never depend on which engine ran. Equality compares the
+/// held form, so it is exact between joins of the same engine; compare
+/// [`Joined::into_weak`] across engines.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Joined(JoinForm);
+
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum JoinForm {
+    Weak(WeakSchema),
+    Compiled(CompiledSchema),
 }
 
 impl Joined {
-    /// The symbolic join, when the engine materialized it (all engines
-    /// except onto-base do).
-    pub fn weak(&self) -> Option<&WeakSchema> {
-        self.weak.as_ref()
-    }
-
-    /// The compiled join, when the compiled engine ran.
-    pub fn compiled(&self) -> Option<&CompiledSchema> {
-        self.compiled.as_ref()
-    }
-
-    /// The symbolic join, decompiling the compiled form if the engine
-    /// skipped the symbolic materialization.
+    /// The symbolic join, decompiled on demand.
     pub fn into_weak(self) -> WeakSchema {
-        match self.weak {
-            Some(weak) => weak,
-            None => self
-                .compiled
-                .expect("a join always produces at least one representation")
-                .decompile(),
+        match self.0 {
+            JoinForm::Weak(weak) => weak,
+            JoinForm::Compiled(compiled) => compiled.decompile(),
         }
     }
 
-    /// Both representations.
-    pub fn into_parts(self) -> (Option<WeakSchema>, Option<CompiledSchema>) {
-        (self.weak, self.compiled)
+    /// The compiled join — the interner a later incremental merge (or
+    /// the registry's join cache) builds on — compiled on demand.
+    pub fn into_compiled(self) -> CompiledSchema {
+        match self.0 {
+            JoinForm::Weak(weak) => CompiledSchema::compile(&weak),
+            JoinForm::Compiled(compiled) => compiled,
+        }
+    }
+
+    fn num_classes(&self) -> usize {
+        match &self.0 {
+            JoinForm::Weak(weak) => weak.num_classes(),
+            JoinForm::Compiled(compiled) => compiled.num_classes(),
+        }
+    }
+
+    fn num_arrows(&self) -> usize {
+        match &self.0 {
+            JoinForm::Weak(weak) => weak.num_arrows(),
+            JoinForm::Compiled(compiled) => compiled.num_arrows(),
+        }
     }
 }
 
@@ -747,9 +691,6 @@ pub struct Merger<'a> {
     /// but the report diagnoses everything the other inputs forced onto
     /// the target's hierarchy.
     target: Option<String>,
-    /// Internal: set on the per-component sub-mergers of a partitioned
-    /// plan so they never re-run the component analysis.
-    no_partition: bool,
     /// Capture a phase-level span trace into [`MergeReport::trace`].
     trace: bool,
 }
@@ -850,11 +791,12 @@ impl<'a> Merger<'a> {
         self
     }
 
-    /// Reuses a cached compiled join as the base of this merge: the base
-    /// is transferred in id space and only the other inputs are interned
-    /// (the registry's incremental re-merge, [`crate::MergeSession`]'s
-    /// accumulation). `base` must be the compiled form of a closed weak
-    /// schema, as produced by an earlier compiled join.
+    /// Reuses a cached compiled join as the base of this merge: the
+    /// base's symbol tables and closed rows seed the join in id space and
+    /// only the other inputs are interned (the registry's incremental
+    /// re-merge, [`crate::MergeSession`]'s accumulation). `base` must be
+    /// the compiled form of a closed weak schema, as produced by
+    /// [`Joined::into_compiled`].
     pub fn onto_base(mut self, base: &'a CompiledSchema) -> Self {
         self.base = Some(base);
         self
@@ -867,13 +809,11 @@ impl<'a> Merger<'a> {
         self
     }
 
-    /// Fixes the worker-thread budget for the parallel engine (and for
-    /// the frontier-parallel completion pass of the other compiled
-    /// plans). Clamped to at least 1 — a budget of 1 keeps the parallel
-    /// engine's end-to-end id-space pipeline but runs every stage on the
-    /// calling thread. Unset, an auto-selected parallel plan uses the
-    /// machine's available parallelism and every other plan stays
-    /// sequential. Thread counts never change results, only wall time.
+    /// Fixes the worker-thread budget of the id-space engine. Clamped to
+    /// at least 1 — a budget of 1 runs every stage on the calling
+    /// thread. Unset, the budget follows the call shape (see
+    /// [`MergePlan::threads`]). Thread counts never change results, only
+    /// wall time.
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = Some(threads.max(1));
         self
@@ -889,8 +829,7 @@ impl<'a> Merger<'a> {
 
     /// Captures a phase-level execution trace into
     /// [`MergeReport::trace`]: one telemetry span per executed
-    /// [`MergePass`] (plus partition split/stitch bookkeeping) under a
-    /// `merge` root span. Tracing is collected on the executing thread
+    /// [`MergePass`] under a `merge` root span. Tracing is collected on the executing thread
     /// only and never changes the merge result; disabled (the default),
     /// the execution path is the pre-telemetry one — span collection
     /// short-circuits on one flag check.
@@ -919,13 +858,6 @@ impl<'a> Merger<'a> {
     /// Resolves what executing this merger will do — engine, passes and
     /// a work estimate — without running anything.
     pub fn plan(&self) -> MergePlan {
-        self.plan_with_partitioning().0
-    }
-
-    /// [`plan`](Merger::plan), additionally returning the component
-    /// analysis when the plan resolved to the partitioned engine (so
-    /// execution never walks the inputs twice).
-    fn plan_with_partitioning(&self) -> (MergePlan, Option<Partitioning>) {
         let mode = if self.lower {
             MergeMode::Lower
         } else {
@@ -959,10 +891,17 @@ impl<'a> Merger<'a> {
         estimated_spec_pairs += self.base.map_or(0, CompiledSchema::num_specializations);
         estimated_arrow_pairs += self.base.map_or(0, CompiledSchema::num_arrow_pairs);
 
+        let engine = if self.lower || self.engine == EnginePreference::Symbolic {
+            // The lower pipeline is a symbolic fixpoint (§6); no compiled
+            // variant exists yet.
+            PlannedEngine::Symbolic
+        } else {
+            PlannedEngine::Compiled
+        };
         let mut plan = MergePlan {
             mode,
-            engine: PlannedEngine::Compiled, // resolved below, once work is known
-            threads: 1,
+            engine,
+            threads: 1, // resolved below, once work is known
             passes: Vec::new(),
             num_inputs: self.inputs.len(),
             num_assertions: self.assertions.len(),
@@ -972,28 +911,25 @@ impl<'a> Merger<'a> {
             estimated_arrows,
             estimated_spec_pairs,
             estimated_arrow_pairs,
-            partitions: 1,
         };
-        let analysis = self.partition_analysis(estimated_classes);
-        let components = analysis.as_ref().map_or(1, Partitioning::count);
-        plan.engine = self.resolved_engine(plan.work_units(), components);
-        let analysis = if plan.engine == PlannedEngine::Partitioned {
-            plan.partitions = components;
-            analysis
-        } else {
-            None
-        };
-        plan.threads = match (self.threads, plan.engine) {
-            // An explicit budget always applies (the compiled plans use
-            // it for the frontier-parallel completion pass).
-            (Some(threads), _) => threads,
-            (None, PlannedEngine::Parallel | PlannedEngine::Partitioned) => {
+        // Only a one-shot compiled merge of wide or heavy inputs defaults
+        // to the machine: an onto-base merge interns just its extras, and
+        // the annotated join is symbolic.
+        let heavy = plan.work_units() >= PARALLEL_WORK_THRESHOLD
+            || self.inputs.len() >= PARALLEL_INPUT_THRESHOLD;
+        plan.threads = match self.threads {
+            Some(threads) => threads,
+            None if engine == PlannedEngine::Compiled
+                && self.base.is_none()
+                && !self.has_annotated()
+                && heavy =>
+            {
                 parallel::default_threads()
             }
-            (None, _) => 1,
+            None => 1,
         };
 
-        if !self.is_base_only(plan.engine) {
+        if !self.is_base_only(engine) {
             plan.passes.push(MergePass::Join);
         }
         match mode {
@@ -1011,36 +947,7 @@ impl<'a> Merger<'a> {
         if self.has_annotated() || mode == MergeMode::Lower {
             plan.passes.push(MergePass::ParticipationTransfer);
         }
-        (plan, analysis)
-    }
-
-    /// Runs the weakly-connected-component analysis when this merger's
-    /// shape and size make partitioning worth considering. `None` means
-    /// "planned as a single component" — either the shape is ineligible
-    /// (lower mode, annotated inputs, a cached base, a partitioned
-    /// sub-merge) or the merge is too small to pay for the walk.
-    fn partition_analysis(&self, estimated_classes: usize) -> Option<Partitioning> {
-        if self.lower || self.base.is_some() || self.has_annotated() || self.no_partition {
-            return None;
-        }
-        let eligible = match self.engine {
-            EnginePreference::Partitioned => true,
-            EnginePreference::Auto => estimated_classes >= PARTITION_CLASS_THRESHOLD,
-            _ => false,
-        };
-        if !eligible {
-            return None;
-        }
-        let weaks: Vec<&WeakSchema> = self.inputs.iter().map(|input| input.kind.weak()).collect();
-        let edges: Vec<(Class, Class)> = self
-            .assertions
-            .iter()
-            .map(|assertion| match assertion {
-                Assertion::Specialization(sub, sup) => (sub.clone(), sup.clone()),
-                Assertion::Arrow(src, _, tgt) => (src.clone(), tgt.clone()),
-            })
-            .collect();
-        Some(partition::analyze(&weaks, &edges))
+        plan
     }
 
     /// Executes the plan: join, completion, and every configured
@@ -1065,17 +972,8 @@ impl<'a> Merger<'a> {
         let _scope = telemetry::thread_span_scope();
         let mark = telemetry::span_mark();
         let result = self.execute_inner();
-        let captured = telemetry::drain_spans_since(mark);
+        let spans = telemetry::drain_spans_since(mark);
         result.map(|mut report| {
-            // A partitioned plan already collected its component
-            // sub-merge spans (recorded on worker threads) into the
-            // report; the calling thread's spans go after them.
-            let mut spans = report
-                .trace
-                .take()
-                .map(|trace| trace.spans)
-                .unwrap_or_default();
-            spans.extend(captured);
             report.trace = Some(MergeTrace { spans });
             report
         })
@@ -1085,30 +983,26 @@ impl<'a> Merger<'a> {
     /// Span emission inside is unconditional code-wise but free when
     /// collection is disabled (see [`telemetry::span`]).
     fn execute_inner(&self) -> Result<MergeReport, MergeError> {
-        let (plan, partitioning) = self.plan_with_partitioning();
+        let plan = self.plan();
         let mut root = telemetry::span("merge");
         root.attr_usize("inputs", plan.num_inputs);
         root.attr_usize("threads", plan.threads);
         root.attr("work_units", plan.work_units());
-        match (plan.mode, partitioning) {
-            (MergeMode::Upper, Some(parts)) if plan.engine == PlannedEngine::Partitioned => {
-                self.execute_partitioned(plan, &parts)
-            }
-            (MergeMode::Upper, _) => self.execute_upper(plan),
-            (MergeMode::Lower, _) => self.execute_lower(plan),
+        match plan.mode {
+            MergeMode::Upper => self.execute_upper(plan),
+            MergeMode::Lower => self.execute_lower(plan),
         }
     }
 
     /// Runs only the join pass: the weak least upper bound of the inputs
-    /// (mode-independent), in whichever representations the planned
-    /// engine produces. This is the entry point for callers that keep
+    /// (mode-independent). This is the entry point for callers that keep
     /// merging — the registry joins without completing, `smerge serve`
     /// folds a published document into one member schema.
     pub fn join(&self) -> Result<Joined, MergeError> {
         let atoms = self.materialize_assertions()?;
         let plan = self.plan();
-        let (weak, compiled, _) = self.join_stage(plan.engine, execution_threads(&plan), &atoms)?;
-        Ok(Joined { weak, compiled })
+        let (joined, _) = self.join_stage(plan.engine, execution_threads(&plan), &atoms)?;
+        Ok(joined)
     }
 
     // ---- internals -------------------------------------------------------
@@ -1119,54 +1013,19 @@ impl<'a> Merger<'a> {
             .any(|input| matches!(input.kind, InputKind::Annotated(_)))
     }
 
-    fn resolved_engine(&self, work_units: u64, components: usize) -> PlannedEngine {
-        if self.lower {
-            // The lower pipeline is a symbolic fixpoint (§6); no compiled
-            // variant exists yet.
-            return PlannedEngine::Symbolic;
-        }
-        match self.engine {
-            EnginePreference::Symbolic => PlannedEngine::Symbolic,
-            // An explicit `Compiled` forces the batch engine even over a
-            // base (the base is decompiled and re-interned) — that is
-            // the differential-test knob for batch vs onto-base.
-            EnginePreference::Compiled => PlannedEngine::Compiled,
-            // An explicit `Parallel` forces the parallel pipeline even
-            // over a base (decompiled and re-interned like forced
-            // `Compiled`) — the differential knob for parallel vs the
-            // rest.
-            EnginePreference::Parallel => PlannedEngine::Parallel,
-            // A forced `Partitioned` still needs ≥ 2 components to mean
-            // anything; on a connected graph it falls back to the auto
-            // resolution (and `execute_upper` warns).
-            EnginePreference::Partitioned if components >= 2 => PlannedEngine::Partitioned,
-            EnginePreference::Partitioned | EnginePreference::Auto => {
-                if self.base.is_some() && !self.has_annotated() {
-                    PlannedEngine::CompiledOntoBase
-                } else if components >= 2 {
-                    // partition_analysis only ran above the class
-                    // threshold, so ≥ 2 components here means a genuinely
-                    // large disconnected merge.
-                    PlannedEngine::Partitioned
-                } else if !self.has_annotated()
-                    && (work_units >= PARALLEL_WORK_THRESHOLD
-                        || self.inputs.len() >= PARALLEL_INPUT_THRESHOLD)
-                {
-                    PlannedEngine::Parallel
-                } else {
-                    PlannedEngine::Compiled
-                }
-            }
-        }
+    /// Whether the join seeds itself with the cached base in id space —
+    /// the compiled engine over plain inputs. The symbolic engine and the
+    /// participation-aware join decompile the base and re-walk it
+    /// instead.
+    fn seeds_from_base(&self, engine: PlannedEngine) -> bool {
+        engine == PlannedEngine::Compiled && self.base.is_some() && !self.has_annotated()
     }
 
     /// Whether the plan completes a cached base with nothing joined onto
     /// it — the registry's delete path, a session's `merged()`. The join
     /// pass (and the copy it would make of the base) is skipped.
     fn is_base_only(&self, engine: PlannedEngine) -> bool {
-        engine == PlannedEngine::CompiledOntoBase
-            && self.inputs.is_empty()
-            && self.assertions.is_empty()
+        self.seeds_from_base(engine) && self.inputs.is_empty() && self.assertions.is_empty()
     }
 
     fn materialize_assertions(&self) -> Result<Vec<WeakSchema>, MergeError> {
@@ -1187,15 +1046,14 @@ impl<'a> Merger<'a> {
             .collect()
     }
 
-    /// The join pass. Returns the representations produced (at least one
-    /// is always present) plus, on the participation-aware path, the
-    /// joined annotated schema for the later transfer pass.
+    /// The join pass. Returns the join plus, on the participation-aware
+    /// path, the joined annotated schema for the later transfer pass.
     fn join_stage(
         &self,
         engine: PlannedEngine,
         threads: usize,
         atoms: &[WeakSchema],
-    ) -> Result<JoinStageOutput, MergeError> {
+    ) -> Result<(Joined, Option<AnnotatedSchema>), MergeError> {
         if self.has_annotated() {
             // Participation-aware join: annotated semantics over every
             // input (plain schemas read as all-required), then the plain
@@ -1204,52 +1062,26 @@ impl<'a> Merger<'a> {
             let anns = self.annotated_inputs(decompiled_base, atoms);
             let joined = annotated_join(anns.iter().map(Ann::get))?;
             let weak = joined.schema().clone();
-            return Ok((Some(weak), None, Some(joined)));
+            return Ok((Joined(JoinForm::Weak(weak)), Some(joined)));
         }
 
-        let weak_refs: Vec<&WeakSchema> = self
+        let inputs: Vec<&WeakSchema> = self
             .inputs
             .iter()
             .map(|input| input.kind.weak())
             .chain(atoms.iter())
             .collect();
-        match engine {
+        let form = match engine {
             PlannedEngine::Symbolic => {
                 let decompiled_base = self.base.map(CompiledSchema::decompile);
-                let refs = decompiled_base.iter().chain(weak_refs.iter().copied());
-                let weak = crate::reference::weak_join_all(refs)?;
-                Ok((Some(weak), None, None))
+                let refs = decompiled_base.iter().chain(inputs.iter().copied());
+                JoinForm::Weak(crate::reference::weak_join_all(refs)?)
             }
-            PlannedEngine::Compiled => {
-                // A forced-compiled plan over a base re-interns the
-                // base's symbolic form like any other input.
-                let decompiled_base = self.base.map(CompiledSchema::decompile);
-                let refs = decompiled_base.iter().chain(weak_refs.iter().copied());
-                let (weak, compiled) = compile::join_compiled(refs).map_err(schema_to_merge)?;
-                Ok((Some(weak), Some(compiled), None))
-            }
-            PlannedEngine::CompiledOntoBase => {
-                let base = self.base.expect("onto-base engine implies a base");
-                let compiled =
-                    compile::join_onto_compiled(base, &weak_refs).map_err(schema_to_merge)?;
-                Ok((None, Some(compiled), None))
-            }
-            PlannedEngine::Parallel | PlannedEngine::Partitioned => {
-                // Sharded interning + tree reduction, straight to the
-                // compiled form: like onto-base, the parallel engine
-                // never materializes the symbolic join. Partitioning
-                // only pays in completion, so a partitioned plan's join
-                // is the same sharded join.
-                let decompiled_base = self.base.map(CompiledSchema::decompile);
-                let refs: Vec<&WeakSchema> = decompiled_base
-                    .iter()
-                    .chain(weak_refs.iter().copied())
-                    .collect();
-                let compiled =
-                    compile::join_compiled_ids(&refs, threads).map_err(schema_to_merge)?;
-                Ok((None, Some(compiled), None))
-            }
-        }
+            PlannedEngine::Compiled => JoinForm::Compiled(
+                compile::join_compiled_ids(self.base, &inputs, threads).map_err(schema_to_merge)?,
+            ),
+        };
+        Ok((Joined(form), None))
     }
 
     /// Every input as an annotated schema (weak inputs and assertion
@@ -1274,46 +1106,30 @@ impl<'a> Merger<'a> {
     fn execute_upper(&self, plan: MergePlan) -> Result<MergeReport, MergeError> {
         let atoms = self.materialize_assertions()?;
         let threads = execution_threads(&plan);
-        let (weak, compiled, joined_annotated) = if self.is_base_only(plan.engine) {
-            (None, None, None)
+        let (join, joined_annotated) = if self.is_base_only(plan.engine) {
+            (None, None)
         } else {
             let mut span = telemetry::span(MergePass::Join.as_str());
-            let joined = self.join_stage(plan.engine, threads, &atoms)?;
-            match (&joined.0, &joined.1) {
-                (_, Some(compiled)) => {
-                    span.attr_usize("classes", compiled.num_classes());
-                    span.attr_usize("arrows", compiled.num_arrows());
-                }
-                (Some(weak), None) => {
-                    span.attr_usize("classes", weak.num_classes());
-                    span.attr_usize("arrows", weak.num_arrows());
-                }
-                (None, None) => {}
-            }
-            joined
+            let (join, annotated) = self.join_stage(plan.engine, threads, &atoms)?;
+            span.attr_usize("classes", join.num_classes());
+            span.attr_usize("arrows", join.num_arrows());
+            (Some(join), annotated)
         };
 
         let mut completion_span = telemetry::span(MergePass::Completion.as_str());
-        let (proper, implicit) = match (&weak, &compiled, plan.engine) {
-            (Some(weak), _, PlannedEngine::Symbolic) => {
-                complete_impl(weak, None, CompletionEngine::Symbolic).map_err(MergeError::Schema)?
-            }
-            (Some(weak), Some(compiled), _) => {
-                complete_impl(weak, Some(compiled), CompletionEngine::Compiled { threads })
-                    .map_err(MergeError::Schema)?
-            }
-            (Some(weak), None, _) => {
-                complete_impl(weak, None, CompletionEngine::Compiled { threads })
-                    .map_err(MergeError::Schema)?
-            }
-            (None, Some(compiled), _) => {
-                complete_from_compiled_impl(compiled, threads).map_err(MergeError::Schema)?
-            }
-            (None, None, _) => {
-                let base = self.base.expect("the base-only path implies a base");
-                complete_from_compiled_impl(base, threads).map_err(MergeError::Schema)?
-            }
+        let engine = match plan.engine {
+            PlannedEngine::Symbolic => CompletionEngine::Symbolic,
+            PlannedEngine::Compiled => CompletionEngine::Compiled { threads },
         };
+        let (proper, implicit) = match join.as_ref().map(|join| &join.0) {
+            Some(JoinForm::Weak(weak)) => complete_impl(weak, None, engine),
+            Some(JoinForm::Compiled(compiled)) => complete_from_compiled_impl(compiled, threads),
+            None => {
+                let base = self.base.expect("the base-only path implies a base");
+                complete_from_compiled_impl(base, threads)
+            }
+        }
+        .map_err(MergeError::Schema)?;
         completion_span.attr_usize("classes", proper.as_weak().num_classes());
         completion_span.attr_usize("implicit_classes", implicit.num_implicit());
         drop(completion_span);
@@ -1336,21 +1152,11 @@ impl<'a> Merger<'a> {
             joined.transfer_to(proper.as_weak())
         });
         let mut diagnostics = self.input_diagnostics();
-        if self.engine == EnginePreference::Partitioned && plan.engine != PlannedEngine::Partitioned
-        {
-            diagnostics.push(Diagnostic::warning(
-                "W-PARTITION-CONNECTED",
-                "partitioned engine requested, but the combined \
-                 specialization+arrow graph is a single weakly-connected \
-                 component (or the shape is ineligible); fell back to the \
-                 auto-resolved engine",
-            ));
-        }
         diagnostics.extend(self.target_diagnostics(proper.as_weak(), &implicit));
-        // Only the onto-base engine actually transfers the base in id
-        // space; the symbolic/annotated/forced-compiled plans decompile
-        // and re-walk it, so claiming reuse there would be false.
-        if plan.engine == PlannedEngine::CompiledOntoBase {
+        // Only a base-seeded join actually reuses the base in id space;
+        // the symbolic and annotated plans decompile and re-walk it, so
+        // claiming reuse there would be false.
+        if self.seeds_from_base(plan.engine) {
             diagnostics.push(Diagnostic::info(
                 "I-BASE-REUSED",
                 format!(
@@ -1376,151 +1182,14 @@ impl<'a> Merger<'a> {
         Ok(MergeReport {
             plan,
             provenance: self.provenance(),
-            weak,
+            join,
             proper,
             implicit,
             keys,
             annotated,
             lower: None,
             diagnostics,
-            compiled,
             trace: None,
-            origins: None,
-        })
-    }
-
-    /// The partitioned pipeline: restrict every input (and assertion
-    /// atom) to each weakly-connected component, merge the components
-    /// independently — each on the engine auto-planned for its size —
-    /// and stitch the results back together. Components never interact
-    /// under any pipeline rule (see [`crate::partition`]), so the
-    /// stitched result is identical to the unpartitioned merge: the
-    /// weak join is the disjoint union of per-component joins, and the
-    /// implicit-class report re-sorted by class is exactly the
-    /// unpartitioned report.
-    fn execute_partitioned(
-        &self,
-        plan: MergePlan,
-        parts: &Partitioning,
-    ) -> Result<MergeReport, MergeError> {
-        let atoms = self.materialize_assertions()?;
-        let threads = execution_threads(&plan);
-
-        // Bucket the restriction of every input by component.
-        let mut buckets: Vec<Vec<WeakSchema>> = Vec::new();
-        buckets.resize_with(parts.count(), Vec::new);
-        {
-            let mut split_span = telemetry::span("partition-split");
-            split_span.attr_usize("components", parts.count());
-            split_span.attr_usize("largest_component", parts.largest());
-            for weak in self
-                .inputs
-                .iter()
-                .map(|input| input.kind.weak())
-                .chain(atoms.iter())
-            {
-                for (component, piece) in parts.split(weak) {
-                    buckets[component as usize].push(piece);
-                }
-            }
-        }
-
-        // Merge each component independently — across the thread budget,
-        // one *single-threaded* sub-merge per component (the components
-        // are the parallelism; nesting the parallel engine underneath
-        // them would oversubscribe the budget). Components are numbered
-        // by their smallest class and stitched in component order, so
-        // the result is deterministic regardless of sizes or scheduling.
-        let work: Vec<&Vec<WeakSchema>> = buckets.iter().filter(|b| !b.is_empty()).collect();
-        // Component sub-merges run on worker threads, where the calling
-        // thread's trace scope does not reach; propagating the flag lets
-        // each sub-merge capture its own spans, collected below.
-        let trace_components = self.trace;
-        let chunk_reports = parallel::map_chunks(work.len(), threads, |range| {
-            range
-                .map(|i| {
-                    let mut sub = Merger::new()
-                        .schemas(work[i].iter())
-                        .threads(1)
-                        .trace(trace_components);
-                    sub.no_partition = true;
-                    sub.execute()
-                })
-                .collect::<Vec<Result<MergeReport, MergeError>>>()
-        });
-
-        let mut component_spans: Vec<SpanRecord> = Vec::new();
-        let mut stitch_span = telemetry::span("partition-stitch");
-        let mut weak = WeakSchema::empty();
-        let mut propers = Vec::with_capacity(work.len());
-        let mut implicit = CompletionReport::default();
-        for report in chunk_reports.into_iter().flatten() {
-            let mut report = report?;
-            if let Some(trace) = report.trace.take() {
-                component_spans.extend(trace.spans);
-            }
-            let piece = match report.weak {
-                Some(piece) => piece,
-                None => report
-                    .compiled
-                    .as_ref()
-                    .expect("a join always produces at least one representation")
-                    .decompile(),
-            };
-            weak.classes.extend(piece.classes);
-            weak.supers.extend(piece.supers);
-            weak.arrows.extend(piece.arrows);
-            implicit.implicit.extend(report.implicit.implicit);
-            propers.push(report.proper);
-        }
-        implicit.implicit.sort_by(|a, b| a.class.cmp(&b.class));
-        let proper = ProperSchema::disjoint_union(propers);
-        stitch_span.attr_usize("classes", proper.as_weak().num_classes());
-        drop(stitch_span);
-
-        if let Some(consistency) = self.consistency {
-            check_consistency(&implicit, consistency)?;
-        }
-        let keys = self.key_pass(&proper);
-
-        let mut diagnostics = self.input_diagnostics();
-        diagnostics.extend(self.target_diagnostics(proper.as_weak(), &implicit));
-        diagnostics.push(Diagnostic::info(
-            "I-PARTITIONED",
-            format!(
-                "split the merge into {} weakly-connected component(s) \
-                 (largest: {} class(es)); each merged independently",
-                parts.count(),
-                parts.largest()
-            ),
-        ));
-        if implicit.num_implicit() > 0 {
-            diagnostics.push(
-                Diagnostic::info(
-                    "I-IMPLICIT-CLASSES",
-                    format!(
-                        "completion introduced {} implicit class(es)",
-                        implicit.num_implicit()
-                    ),
-                )
-                .with_classes(implicit.implicit.iter().map(|info| info.class.clone())),
-            );
-        }
-
-        Ok(MergeReport {
-            plan,
-            provenance: self.provenance(),
-            weak: Some(weak),
-            proper,
-            implicit,
-            keys,
-            annotated: None,
-            lower: None,
-            diagnostics,
-            compiled: None,
-            trace: (!component_spans.is_empty()).then_some(MergeTrace {
-                spans: component_spans,
-            }),
             origins: None,
         })
     }
@@ -1581,14 +1250,13 @@ impl<'a> Merger<'a> {
         Ok(MergeReport {
             plan,
             provenance: self.provenance(),
-            weak: Some(merged.schema().clone()),
+            join: Some(Joined(JoinForm::Weak(merged.schema().clone()))),
             proper,
             implicit: CompletionReport::default(),
             keys,
             annotated: Some(annotated),
             lower: Some(lower_report),
             diagnostics,
-            compiled: None,
             trace: None,
             origins: None,
         })
@@ -1766,15 +1434,6 @@ impl fmt::Debug for Merger<'_> {
     }
 }
 
-/// What the join pass hands to completion: the symbolic and/or compiled
-/// join, plus (on the participation-aware path) the joined annotated
-/// schema for the later transfer pass.
-type JoinStageOutput = (
-    Option<WeakSchema>,
-    Option<CompiledSchema>,
-    Option<AnnotatedSchema>,
-);
-
 /// The worker count a plan actually runs with: the budget, capped at
 /// the machine's available parallelism — the engine's passes are
 /// CPU-bound bit sweeps, so oversubscribing cores only adds scheduler
@@ -1873,9 +1532,8 @@ mod tests {
         let report = Merger::new().schema(&g1).schema(&g2).execute().unwrap();
         let expected = crate::reference::merge([&g1, &g2]).unwrap();
         assert_eq!(report.proper, expected.proper);
-        assert_eq!(report.weak.as_ref().unwrap(), &expected.weak);
         assert_eq!(report.implicit, expected.report);
-        assert!(report.compiled.is_some());
+        assert_eq!(report.into_outcome().weak, expected.weak);
     }
 
     #[test]
@@ -1900,18 +1558,16 @@ mod tests {
             .schemas([&g1, &g2])
             .join()
             .unwrap()
-            .into_parts()
-            .1
-            .unwrap();
+            .into_compiled();
         let onto = Merger::new()
             .onto_base(&base)
             .schema(&g3)
             .execute()
             .unwrap();
-        assert_eq!(onto.plan.engine, PlannedEngine::CompiledOntoBase);
+        assert_eq!(onto.plan.engine, PlannedEngine::Compiled);
         assert_eq!(onto.proper, expected.proper);
         assert_eq!(onto.implicit, expected.report);
-        assert!(onto.weak.is_none(), "onto-base skips the symbolic join");
+        assert!(onto.diagnostics.iter().any(|d| d.code() == "I-BASE-REUSED"));
         // The symbolic engine overrides the base reuse but not the result.
         let sym_onto = Merger::new()
             .onto_base(&base)
@@ -1921,24 +1577,15 @@ mod tests {
             .unwrap();
         assert_eq!(sym_onto.plan.engine, PlannedEngine::Symbolic);
         assert_eq!(sym_onto.proper, expected.proper);
-        // And an explicit `Compiled` forces the batch engine even over a
-        // base — the differential knob for batch vs onto-base — again
-        // with the same result.
-        let forced = Merger::new()
-            .onto_base(&base)
-            .schema(&g3)
-            .engine(EnginePreference::Compiled)
-            .execute()
-            .unwrap();
-        assert_eq!(forced.plan.engine, PlannedEngine::Compiled);
-        assert_eq!(forced.proper, expected.proper);
         assert!(
-            !forced
+            !sym_onto
                 .diagnostics
                 .iter()
                 .any(|d| d.code() == "I-BASE-REUSED"),
-            "the forced-compiled plan re-interns the base and must not claim reuse"
+            "the symbolic plan re-walks the base and must not claim reuse"
         );
+        // Both joins decompile to the same symbolic join.
+        assert_eq!(onto.into_outcome().weak, sym_onto.into_outcome().weak);
     }
 
     #[test]
@@ -1948,12 +1595,10 @@ mod tests {
             .schemas([&g1, &g2])
             .join()
             .unwrap()
-            .into_parts()
-            .1
-            .unwrap();
+            .into_compiled();
         let merger = Merger::new().onto_base(&base);
         let plan = merger.plan();
-        assert_eq!(plan.engine, PlannedEngine::CompiledOntoBase);
+        assert_eq!(plan.engine, PlannedEngine::Compiled);
         assert_eq!(
             plan.passes,
             vec![MergePass::Completion],
@@ -1961,10 +1606,7 @@ mod tests {
         );
         let report = merger.execute().unwrap();
         assert_eq!(report.plan, plan);
-        assert!(
-            report.compiled.is_none(),
-            "the caller already holds the base"
-        );
+        assert!(report.join.is_none(), "the caller already holds the base");
         assert_eq!(
             report.proper,
             Merger::new().schemas([&g1, &g2]).execute().unwrap().proper
@@ -2095,14 +1737,16 @@ mod tests {
             .execute()
             .unwrap();
         assert_eq!(report.plan.mode, MergeMode::Lower);
-        let lower = report.lower.expect("lower mode fills the union report");
+        let lower = report
+            .lower
+            .as_ref()
+            .expect("lower mode fills the union report");
         assert_eq!(lower.unions.len(), 1);
         assert!(report.annotated.is_some());
-        let expected = {
-            let merged = lower_merge([&a, &b]);
-            lower_complete(&merged).unwrap().1
-        };
-        assert_eq!(report.proper, expected);
+        let merged = lower_merge([&a, &b]);
+        assert_eq!(report.proper, lower_complete(&merged).unwrap().1);
+        // The report's join is the GLB schema itself.
+        assert_eq!(report.into_outcome().weak, *merged.schema());
     }
 
     #[test]
@@ -2155,23 +1799,22 @@ mod tests {
     fn join_returns_both_representations() {
         let (g1, g2) = dogs();
         let joined = Merger::new().schema(&g1).schema(&g2).join().unwrap();
-        assert!(joined.weak().is_some());
-        assert!(joined.compiled().is_some());
+        let compiled = joined.clone().into_compiled();
         let weak = joined.into_weak();
         assert_eq!(weak, crate::reference::weak_join_all([&g1, &g2]).unwrap());
+        assert_eq!(compiled.decompile(), weak);
 
-        // Onto-base join skips the symbolic materialization; into_weak
-        // decompiles on demand.
-        let base = Merger::new()
-            .schema(&g1)
-            .join()
-            .unwrap()
-            .into_parts()
-            .1
-            .unwrap();
+        // Whichever engine ran, both forms convert on demand.
+        let base = Merger::new().schema(&g1).join().unwrap().into_compiled();
         let onto = Merger::new().onto_base(&base).schema(&g2).join().unwrap();
-        assert!(onto.weak().is_none());
         assert_eq!(onto.into_weak(), weak);
+        let symbolic = Merger::new()
+            .schema(&g1)
+            .schema(&g2)
+            .engine(EnginePreference::Symbolic)
+            .join()
+            .unwrap();
+        assert_eq!(symbolic.into_compiled(), compiled);
     }
 
     #[test]
@@ -2198,7 +1841,7 @@ mod tests {
     fn empty_merger_produces_the_empty_merge() {
         let report = Merger::new().execute().unwrap();
         assert_eq!(report.proper.num_classes(), 0);
-        assert_eq!(report.weak.as_ref().unwrap(), &WeakSchema::empty());
+        assert_eq!(report.into_outcome().weak, WeakSchema::empty());
     }
 
     /// A branchy NFA-shaped schema: few classes and arrows, but every
@@ -2236,10 +1879,10 @@ mod tests {
             nfa_plan.work_units(),
             plain_plan.work_units()
         );
-        // And the estimate routes the NFA to the parallel engine while
-        // the plain schema stays on the sequential compiled one.
-        assert_eq!(nfa_plan.engine, PlannedEngine::Parallel);
-        assert_eq!(plain_plan.engine, PlannedEngine::Compiled);
+        // And the estimate gives the NFA the machine's thread budget
+        // while the plain schema stays sequential.
+        assert_eq!(nfa_plan.threads, parallel::default_threads());
+        assert_eq!(plain_plan.threads, 1);
     }
 
     #[test]
@@ -2250,184 +1893,67 @@ mod tests {
             .specialize("Sink", "S1")
             .build()
             .unwrap();
-        let compiled = Merger::new()
+        let sequential = Merger::new()
             .schemas([&nfa, &extra])
-            .engine(EnginePreference::Compiled)
+            .threads(1)
             .execute()
             .unwrap();
-        for threads in [1, 2, 4, 8] {
+        let reference = crate::reference::merge([&nfa, &extra]).unwrap();
+        assert_eq!(sequential.proper, reference.proper);
+        assert_eq!(sequential.implicit, reference.report);
+        for threads in [2, 4, 8] {
             let parallel = Merger::new()
                 .schemas([&nfa, &extra])
-                .engine(EnginePreference::Parallel)
                 .threads(threads)
                 .execute()
                 .unwrap();
-            assert_eq!(parallel.plan.engine, PlannedEngine::Parallel);
+            assert_eq!(parallel.plan.engine, PlannedEngine::Compiled);
             assert_eq!(parallel.plan.threads, threads);
-            assert_eq!(parallel.proper, compiled.proper, "at {threads} threads");
-            assert_eq!(parallel.implicit, compiled.implicit);
+            assert_eq!(parallel.proper, sequential.proper, "at {threads} threads");
+            assert_eq!(parallel.implicit, sequential.implicit);
             assert_eq!(
-                parallel.compiled.as_ref().unwrap(),
-                compiled.compiled.as_ref().unwrap(),
+                parallel.join, sequential.join,
                 "compiled joins are bit-identical"
-            );
-            assert!(
-                parallel.weak.is_none(),
-                "the parallel engine never materializes the symbolic join"
             );
         }
     }
 
     #[test]
-    fn forced_parallel_over_a_base_reinterns_like_forced_compiled() {
+    fn plan_threads_follow_the_call_shape() {
+        // The default budget depends only on the call shape: the
+        // daemon's PUT path (onto-base) stays sequential, recovery and
+        // cold rebuilds (one-shot, wide) use the machine.
         let (g1, g2) = dogs();
-        let g3 = WeakSchema::builder()
-            .arrow("Dog", "owner", "Company")
-            .build()
-            .unwrap();
-        let base = Merger::new()
-            .schemas([&g1, &g2])
-            .join()
-            .unwrap()
-            .into_parts()
-            .1
-            .unwrap();
-        let expected = Merger::new().schemas([&g1, &g2, &g3]).execute().unwrap();
-        let forced = Merger::new()
-            .onto_base(&base)
-            .schema(&g3)
-            .engine(EnginePreference::Parallel)
-            .threads(2)
-            .execute()
-            .unwrap();
-        assert_eq!(forced.plan.engine, PlannedEngine::Parallel);
-        assert_eq!(forced.proper, expected.proper);
-        assert_eq!(forced.implicit, expected.implicit);
-    }
+        let two = Merger::new().schemas([&g1, &g2]).plan();
+        assert_eq!(two.threads, 1, "small one-shot merges stay sequential");
 
-    #[test]
-    fn plan_threads_default_is_sequential_off_the_parallel_engine() {
-        let (g1, g2) = dogs();
-        let plan = Merger::new().schemas([&g1, &g2]).plan();
-        assert_eq!(plan.engine, PlannedEngine::Compiled);
-        assert_eq!(plan.threads, 1, "small auto plans stay sequential");
-        let plan = Merger::new().schemas([&g1, &g2]).threads(3).plan();
-        assert_eq!(plan.threads, 3, "an explicit budget always applies");
-        let plan = Merger::new()
-            .schemas([&g1, &g2])
-            .engine(EnginePreference::Parallel)
-            .plan();
-        assert!(plan.threads >= 1, "parallel defaults to the machine");
-        let display = plan.to_string();
+        let wide: Vec<WeakSchema> = (0..PARALLEL_INPUT_THRESHOLD)
+            .map(|i| {
+                WeakSchema::builder()
+                    .arrow("Dog", format!("f{i}"), "int")
+                    .build()
+                    .unwrap()
+            })
+            .collect();
+        let sixteen = Merger::new().schemas(&wide).plan();
+        assert!(sixteen.work_units() < PARALLEL_WORK_THRESHOLD);
+        assert_eq!(
+            sixteen.threads,
+            parallel::default_threads(),
+            "wide one-shot merges default to the machine"
+        );
+
+        let base = Merger::new().schemas(&wide).join().unwrap().into_compiled();
+        let onto = Merger::new().onto_base(&base).schemas(&wide).plan();
+        assert_eq!(onto.threads, 1, "onto-base merges stay sequential");
+
+        let explicit = Merger::new().schemas(&wide).threads(3).plan();
+        assert_eq!(explicit.threads, 3, "an explicit budget always wins");
+        let display = explicit.to_string();
         assert!(
-            display.contains("engine=parallel") && display.contains(", threads="),
+            display.contains("engine=compiled") && display.contains(", threads=3"),
             "plan display names the budget: {display}"
         );
-    }
-
-    /// Three families (`A*`, `B*`, `C*`) with no edges between them, the
-    /// `B` family branching enough to demand an implicit class.
-    fn three_families() -> (WeakSchema, WeakSchema) {
-        let g1 = WeakSchema::builder()
-            .specialize("A1", "A0")
-            .arrow("A0", "f", "A2")
-            .arrow("B0", "g", "B1")
-            .arrow("B0", "g", "B2")
-            .build()
-            .unwrap();
-        let g2 = WeakSchema::builder()
-            .specialize("A2", "A1")
-            .arrow("B0", "g", "B3")
-            .arrow("C0", "h", "C1")
-            .build()
-            .unwrap();
-        (g1, g2)
-    }
-
-    #[test]
-    fn partitioned_engine_matches_unpartitioned() {
-        let (g1, g2) = three_families();
-        let expected = Merger::new()
-            .schemas([&g1, &g2])
-            .engine(EnginePreference::Compiled)
-            .execute()
-            .unwrap();
-        let reference = crate::reference::merge([&g1, &g2]).unwrap();
-        let part = Merger::new()
-            .schemas([&g1, &g2])
-            .engine(EnginePreference::Partitioned)
-            .execute()
-            .unwrap();
-        assert_eq!(part.plan.engine, PlannedEngine::Partitioned);
-        assert_eq!(part.plan.partitions, 3);
-        assert_eq!(part.proper, expected.proper);
-        assert_eq!(part.proper, reference.proper);
-        assert_eq!(part.weak.as_ref().unwrap(), expected.weak.as_ref().unwrap());
-        assert_eq!(part.implicit, expected.implicit);
-        assert_eq!(part.implicit, reference.report);
-        assert!(
-            part.implicit.num_implicit() > 0,
-            "the B family must exercise implicit-class stitching"
-        );
-        assert!(part.diagnostics.iter().any(|d| d.code() == "I-PARTITIONED"));
-        let display = part.plan.to_string();
-        assert!(
-            display.contains("engine=partitioned") && display.contains(", partitions=3, threads="),
-            "plan display names the split: {display}"
-        );
-    }
-
-    #[test]
-    fn forced_partitioned_falls_back_when_connected() {
-        let (g1, g2) = dogs();
-        let report = Merger::new()
-            .schemas([&g1, &g2])
-            .engine(EnginePreference::Partitioned)
-            .execute()
-            .unwrap();
-        assert_ne!(report.plan.engine, PlannedEngine::Partitioned);
-        assert_eq!(report.plan.partitions, 1);
-        assert!(report
-            .diagnostics
-            .iter()
-            .any(|d| d.code() == "W-PARTITION-CONNECTED"));
-        let expected = crate::reference::merge([&g1, &g2]).unwrap();
-        assert_eq!(report.proper, expected.proper);
-    }
-
-    #[test]
-    fn assertions_bridge_partition_components() {
-        // An assertion relates classes like any other input, so a
-        // specialization between the A and B families fuses their
-        // components — and the merged result must reflect the bridge.
-        let (g1, g2) = three_families();
-        let part = Merger::new()
-            .schemas([&g1, &g2])
-            .assert_specialization("B0", "A0")
-            .engine(EnginePreference::Partitioned)
-            .execute()
-            .unwrap();
-        assert_eq!(part.plan.engine, PlannedEngine::Partitioned);
-        assert_eq!(part.plan.partitions, 2, "A+B fused, C separate");
-        let expected = Merger::new()
-            .schemas([&g1, &g2])
-            .assert_specialization("B0", "A0")
-            .engine(EnginePreference::Compiled)
-            .execute()
-            .unwrap();
-        assert_eq!(part.proper, expected.proper);
-        assert_eq!(part.implicit, expected.implicit);
-        assert!(part.proper.specializes(&c("B0"), &c("A0")));
-    }
-
-    #[test]
-    fn auto_partitioning_is_gated_by_size() {
-        // Disconnected but tiny: the auto planner never pays for the
-        // component walk below the class threshold.
-        let g = WeakSchema::builder().class("X").class("Y").build().unwrap();
-        let plan = Merger::new().schema(&g).plan();
-        assert_eq!(plan.engine, PlannedEngine::Compiled);
-        assert_eq!(plan.partitions, 1);
     }
 
     #[test]
@@ -2435,7 +1961,7 @@ mod tests {
         // A 3k-class taxonomy shape: shallow closure (about one closed
         // ancestor per class), mild arrow branching. The old mild-excess
         // weight was the dense row width (`classes`), pushing this to
-        // 1.5M work units and the parallel engine; the adaptive-row
+        // 1.5M work units and a parallel budget; the adaptive-row
         // weight is the average closed-row population, keeping the
         // estimate honest and the merge sequential.
         let (g1, _) = dogs();
@@ -2602,12 +2128,7 @@ mod tests {
             .specialize("Puppy", "Dog")
             .build()
             .unwrap();
-        for engine in [
-            EnginePreference::Auto,
-            EnginePreference::Symbolic,
-            EnginePreference::Compiled,
-            EnginePreference::Parallel,
-        ] {
+        for engine in [EnginePreference::Auto, EnginePreference::Symbolic] {
             let plain = Merger::new()
                 .schemas([&g1, &g2, &g3])
                 .engine(engine)
@@ -2620,7 +2141,7 @@ mod tests {
                 .execute()
                 .unwrap();
             assert_eq!(plain.proper, traced.proper, "{engine:?}");
-            assert_eq!(plain.weak, traced.weak, "{engine:?}");
+            assert_eq!(plain.join, traced.join, "{engine:?}");
             assert_eq!(plain.implicit, traced.implicit, "{engine:?}");
             assert_eq!(plain.keys, traced.keys, "{engine:?}");
             assert_eq!(plain.provenance, traced.provenance, "{engine:?}");
@@ -2632,46 +2153,74 @@ mod tests {
     }
 
     #[test]
-    fn traced_partitioned_merge_collects_component_and_stitch_spans() {
-        // Two disconnected vocabularies force two components.
-        let left = WeakSchema::builder()
-            .arrow("Dog", "name", "string")
-            .specialize("Puppy", "Dog")
+    fn onto_base_merge_is_thread_count_invariant() {
+        let nfa = branchy(10);
+        let extra = WeakSchema::builder()
+            .arrow("S0", "zero", "Sink")
+            .specialize("Sink", "S1")
             .build()
             .unwrap();
-        let right = WeakSchema::builder()
-            .arrow("Star", "magnitude", "float")
+        let base = Merger::new().schema(&nfa).join().unwrap().into_compiled();
+        let one_shot = Merger::new().schemas([&nfa, &extra]).execute().unwrap();
+        for threads in [1, 2, 4] {
+            let onto = Merger::new()
+                .onto_base(&base)
+                .schema(&extra)
+                .threads(threads)
+                .execute()
+                .unwrap();
+            assert_eq!(onto.plan.threads, threads);
+            assert_eq!(onto.proper, one_shot.proper, "at {threads} threads");
+            assert_eq!(onto.implicit, one_shot.implicit);
+            assert_eq!(onto.join, one_shot.join, "the seeded join is bit-identical");
+        }
+    }
+
+    #[test]
+    fn annotated_inputs_over_a_base_do_not_claim_reuse() {
+        // The participation-aware join is symbolic: it decompiles the
+        // base and re-walks it, so it must not report base reuse.
+        let (g1, g2) = dogs();
+        let base = Merger::new().schema(&g1).join().unwrap().into_compiled();
+        let site = AnnotatedSchema::builder()
+            .optional_arrow("Dog", "chip", "Chip")
             .build()
             .unwrap();
         let report = Merger::new()
-            .schemas([&left, &right])
-            .engine(EnginePreference::Partitioned)
+            .onto_base(&base)
+            .schema(&g2)
+            .with_participation(&site)
+            .execute()
+            .unwrap();
+        assert_eq!(report.plan.threads, 1);
+        assert!(!report
+            .diagnostics
+            .iter()
+            .any(|d| d.code() == "I-BASE-REUSED"));
+        let expected = Merger::new()
+            .schemas([&g1, &g2, site.schema()])
+            .execute()
+            .unwrap();
+        assert_eq!(report.proper, expected.proper);
+        assert!(report.annotated.is_some());
+    }
+
+    #[test]
+    fn traced_base_only_merge_spans_completion_only() {
+        let (g1, g2) = dogs();
+        let base = Merger::new()
+            .schemas([&g1, &g2])
+            .join()
+            .unwrap()
+            .into_compiled();
+        let report = Merger::new()
+            .onto_base(&base)
             .trace(true)
             .execute()
             .unwrap();
-        assert_eq!(report.plan.engine, PlannedEngine::Partitioned);
         let trace = report.trace.as_ref().expect("trace requested");
         let names: Vec<&str> = trace.spans.iter().map(|s| s.name).collect();
-        assert!(names.contains(&"partition-split"), "{names:?}");
-        assert!(names.contains(&"partition-stitch"), "{names:?}");
-        // Each component sub-merge contributed its own join+completion.
-        assert_eq!(
-            names.iter().filter(|&&n| n == "join").count(),
-            2,
-            "{names:?}"
-        );
-        let phases = trace.phase_ns();
-        assert!(
-            phases.iter().any(|&(name, _)| name == "join"),
-            "component joins fold into one phase entry: {phases:?}"
-        );
-        // The untraced result is identical.
-        let plain = Merger::new()
-            .schemas([&left, &right])
-            .engine(EnginePreference::Partitioned)
-            .execute()
-            .unwrap();
-        assert_eq!(plain.proper, report.proper);
+        assert_eq!(names, vec!["completion", "merge"], "{names:?}");
     }
 
     #[test]

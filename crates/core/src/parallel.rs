@@ -1,12 +1,13 @@
-//! Thread plumbing for the parallel merge engine.
+//! Thread plumbing for the merge engine's thread budget.
 //!
 //! The paper proves the merge is a least upper bound, so n-ary joins are
 //! associative and commutative: the reduction order of `weak_join` is
-//! semantically free, and so is *who* computes each piece. The parallel
-//! engine ([`crate::merger::PlannedEngine::Parallel`]) exploits that
-//! freedom with `std::thread::scope` workers, but every parallel pass is
-//! written so the result is **bit-identical to the sequential compiled
-//! engine regardless of thread count**:
+//! semantically free, and so is *who* computes each piece. The id-space
+//! engine ([`crate::merger::PlannedEngine::Compiled`]) exploits that
+//! freedom with `std::thread::scope` workers over
+//! [`crate::MergePlan::threads`], but every sharded pass is written so
+//! the result is **bit-identical to the one-thread run regardless of
+//! thread count**:
 //!
 //! * work is split into *contiguous, deterministic* chunks
 //!   (`chunk_ranges`) — never work-stealing, so the assignment of item
@@ -86,7 +87,7 @@ pub(crate) fn map_chunks<R: Send>(
             .collect();
         handles
             .into_iter()
-            .map(|handle| handle.join().expect("parallel engine worker panicked"))
+            .map(|handle| handle.join().expect("merge worker panicked"))
             .collect()
     })
 }

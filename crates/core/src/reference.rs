@@ -82,13 +82,12 @@ pub fn merge<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::merger::{EnginePreference, Joined, Merger};
+    use crate::merger::{Joined, Merger};
 
     /// The façade's compiled-engine join, for differential comparison.
     fn facade_join(schemas: &[&WeakSchema]) -> Result<WeakSchema, MergeError> {
         Merger::new()
             .schemas(schemas.iter().copied())
-            .engine(EnginePreference::Compiled)
             .join()
             .map(Joined::into_weak)
     }
@@ -97,7 +96,6 @@ mod tests {
     fn facade_merge(schemas: &[&WeakSchema]) -> Result<MergeOutcome, MergeError> {
         Merger::new()
             .schemas(schemas.iter().copied())
-            .engine(EnginePreference::Compiled)
             .execute()
             .map(crate::merger::MergeReport::into_outcome)
     }

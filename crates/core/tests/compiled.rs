@@ -15,27 +15,27 @@ use proptest::prelude::*;
 
 use schema_merge_core::iso::alpha_isomorphic;
 use schema_merge_core::merge::MergeOutcome;
-use schema_merge_core::merger::{EnginePreference, Joined, MergeReport};
+use schema_merge_core::merger::{Joined, MergeReport};
 use schema_merge_core::{reference, Class, CompiledSchema, MergeError, Merger, WeakSchema};
 
-/// N-ary join on the compiled engine, through the façade.
+/// N-ary join on the compiled engine at one thread, through the façade.
 fn weak_join_all<'a>(
     schemas: impl IntoIterator<Item = &'a WeakSchema>,
 ) -> Result<WeakSchema, MergeError> {
     Merger::new()
         .schemas(schemas)
-        .engine(EnginePreference::Compiled)
+        .threads(1)
         .join()
         .map(Joined::into_weak)
 }
 
-/// Batch merge on the compiled engine, through the façade.
+/// Batch merge on the compiled engine at one thread, through the façade.
 fn merge_compiled<'a>(
     schemas: impl IntoIterator<Item = &'a WeakSchema>,
 ) -> Result<MergeOutcome, MergeError> {
     Merger::new()
         .schemas(schemas)
-        .engine(EnginePreference::Compiled)
+        .threads(1)
         .execute()
         .map(MergeReport::into_outcome)
 }

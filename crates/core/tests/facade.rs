@@ -1,8 +1,9 @@
 //! The `Merger` façade's contract, property-tested:
 //!
-//! * every **plan configuration** — symbolic, compiled, compiled-onto-base
-//!   (with every split of the inputs into base and extras) — produces
-//!   schemas *equal* to the retained `reference::merge`, and
+//! * every **plan configuration** — the id-space engine at every thread
+//!   budget, the same engine seeded by a cached base (with every split of
+//!   the inputs into base and extras), and the symbolic engine —
+//!   produces schemas *equal* to the retained `reference::merge`, and
 //!   alpha-isomorphic modulo implicit-class naming;
 //! * the **consistency pass** is one implementation: the deprecated
 //!   `merge_consistent` and `MergeSession::with_consistency` paths are
@@ -73,47 +74,27 @@ proptest! {
         let refs: Vec<&WeakSchema> = family.iter().collect();
         let expected = reference::merge(refs.iter().copied()).expect("compatible");
 
-        // The default (Auto) plan: compiled for small merges, parallel
-        // once the work estimate crosses the threshold — same results
-        // either way, but only the compiled plan materializes the
-        // symbolic join.
+        // The default (Auto) plan: the id-space engine, at the budget
+        // the call shape picks.
         let auto = Merger::new().schemas(refs.iter().copied()).execute().expect("auto");
-        prop_assert!(matches!(
-            auto.plan.engine,
-            PlannedEngine::Compiled | PlannedEngine::Parallel
-        ));
+        prop_assert_eq!(auto.plan.engine, PlannedEngine::Compiled);
         prop_assert_eq!(&auto.proper, &expected.proper);
         prop_assert_eq!(&auto.implicit, &expected.report);
-        match &auto.weak {
-            Some(weak) => prop_assert_eq!(weak, &expected.weak),
-            None => prop_assert_eq!(auto.plan.engine, PlannedEngine::Parallel),
-        }
+        prop_assert_eq!(&auto.clone().into_outcome().weak, &expected.weak);
 
-        // Forced compiled.
-        let compiled = Merger::new()
-            .schemas(refs.iter().copied())
-            .engine(EnginePreference::Compiled)
-            .execute()
-            .expect("compiled");
-        prop_assert_eq!(compiled.plan.engine, PlannedEngine::Compiled);
-        prop_assert_eq!(&compiled.proper, &expected.proper);
-        prop_assert_eq!(compiled.weak.as_ref().unwrap(), &expected.weak);
-        prop_assert_eq!(&compiled.implicit, &expected.report);
-
-        // Forced parallel, across thread counts: report-identical to the
-        // reference at every budget.
+        // The same engine across thread budgets: report-identical to the
+        // reference at every one, and bit-identical joins.
         for threads in [1, 2, 4, 8] {
-            let parallel = Merger::new()
+            let run = Merger::new()
                 .schemas(refs.iter().copied())
-                .engine(EnginePreference::Parallel)
                 .threads(threads)
                 .execute()
-                .expect("parallel");
-            prop_assert_eq!(parallel.plan.engine, PlannedEngine::Parallel);
-            prop_assert_eq!(parallel.plan.threads, threads);
-            prop_assert_eq!(&parallel.proper, &expected.proper);
-            prop_assert_eq!(&parallel.implicit, &expected.report);
-            prop_assert!(parallel.weak.is_none());
+                .expect("threaded");
+            prop_assert_eq!(run.plan.engine, PlannedEngine::Compiled);
+            prop_assert_eq!(run.plan.threads, threads);
+            prop_assert_eq!(&run.proper, &expected.proper);
+            prop_assert_eq!(&run.implicit, &expected.report);
+            prop_assert_eq!(&run.join, &auto.join);
         }
 
         // Symbolic.
@@ -126,30 +107,29 @@ proptest! {
         prop_assert_eq!(&symbolic.proper, &expected.proper);
         prop_assert_eq!(&symbolic.implicit, &expected.report);
 
-        // Compiled onto a cached base, at every split point of the
-        // inputs into (base, extras) — including the all-in-base and
+        // Seeded by a cached base, at every split point of the inputs
+        // into (base, extras) — including the all-in-base and
         // all-in-extras degenerate splits.
         let k = split % (refs.len() + 1);
         let base = Merger::new()
             .schemas(refs[..k].iter().copied())
             .join()
             .expect("base joins")
-            .into_parts()
-            .1
-            .expect("compiled base");
+            .into_compiled();
         let onto = Merger::new()
             .onto_base(&base)
             .schemas(refs[k..].iter().copied())
             .execute()
             .expect("onto-base");
-        prop_assert_eq!(onto.plan.engine, PlannedEngine::CompiledOntoBase);
+        prop_assert_eq!(onto.plan.engine, PlannedEngine::Compiled);
+        prop_assert!(onto.plan.reuses_base);
         prop_assert_eq!(&onto.proper, &expected.proper);
         prop_assert_eq!(&onto.implicit, &expected.report);
 
         // And the weaker public contract: alpha-isomorphism modulo
         // implicit-class naming.
         prop_assert!(alpha_isomorphic(
-            compiled.proper.as_weak(),
+            auto.proper.as_weak(),
             expected.proper.as_weak(),
             Class::is_implicit,
         ));
@@ -215,9 +195,7 @@ proptest! {
             .schemas(refs[..k].iter().copied())
             .join()
             .expect("base joins")
-            .into_parts()
-            .1
-            .expect("compiled base");
+            .into_compiled();
         let onto = Merger::new()
             .onto_base(&base)
             .schemas(refs[k..].iter().copied())

@@ -86,11 +86,11 @@ impl RegistryBuilder {
         }
     }
 
-    /// Fixes the worker budget for the registry's merge plans. Cold
-    /// full rebuilds (cache-miss publishes, preloads, post-delete
-    /// re-merges, recovery's re-merge) run the parallel engine with this
-    /// many workers; the warm incremental path uses it for the
-    /// completion pass. Thread counts never change the merged view.
+    /// Fixes the worker budget for the registry's merge plans: cold full
+    /// rebuilds (cache-miss publishes, preloads, post-delete re-merges,
+    /// recovery's re-merge) and the warm incremental path alike. Unset,
+    /// each plan picks its default by call shape. Thread counts never
+    /// change the merged view.
     pub fn merge_threads(mut self, threads: usize) -> Self {
         self.merge_threads = Some(threads.max(1));
         self
@@ -383,8 +383,7 @@ fn recover(
             if let Some(threads) = threads {
                 merger = merger.threads(threads);
             }
-            let (_, compiled) = merger.join()?.into_parts();
-            let compiled = Arc::new(compiled.expect("the compiled engines keep the compiled join"));
+            let compiled = Arc::new(merger.join()?.into_compiled());
             let candidate = merge_onto(&compiled, None, threads)?;
             Ok((candidate.proper, candidate.report, Some(candidate.compiled)))
         };

@@ -318,6 +318,7 @@ pub(crate) struct Resilience {
     storage_retries: AtomicU64,
     degrade_events: AtomicU64,
     heal_events: AtomicU64,
+    snapshot_failures: AtomicU64,
 }
 
 impl Resilience {
@@ -329,6 +330,7 @@ impl Resilience {
             storage_retries: AtomicU64::new(0),
             degrade_events: AtomicU64::new(0),
             heal_events: AtomicU64::new(0),
+            snapshot_failures: AtomicU64::new(0),
         }
     }
 
@@ -734,8 +736,7 @@ impl Registry {
         if let Some(threads) = self.merge_threads {
             merger = merger.threads(threads);
         }
-        let (_, compiled) = merger.join()?.into_parts();
-        let join = Arc::new(compiled.expect("the compiled engines keep the compiled join"));
+        let join = Arc::new(merger.join()?.into_compiled());
         self.cache
             .lock()
             .expect("cache lock")
@@ -917,6 +918,7 @@ impl Registry {
             storage_retries: self.resilience.storage_retries.load(Ordering::Relaxed),
             degrade_events: self.resilience.degrade_events.load(Ordering::Relaxed),
             heal_events: self.resilience.heal_events.load(Ordering::Relaxed),
+            snapshot_failures: self.resilience.snapshot_failures.load(Ordering::Relaxed),
             fault_counters,
         }
     }
@@ -1082,9 +1084,9 @@ impl Registry {
     /// computed from scratch (and later seeded by the commit). The
     /// from-scratch rebuild is the registry's widest merge — every
     /// unchanged member walked at once — so it is exactly the shape the
-    /// parallel engine shards: the merger auto-selects it past the work
-    /// threshold, and [`crate::RegistryBuilder::merge_threads`] fixes
-    /// its budget.
+    /// engine shards: the merger defaults to the machine's parallelism
+    /// past the work or input threshold, and
+    /// [`crate::RegistryBuilder::merge_threads`] fixes its budget.
     fn rest_join(
         &self,
         snapshot: &Snapshot,
@@ -1097,10 +1099,10 @@ impl Registry {
         if let Some(threads) = self.merge_threads {
             merger = merger.threads(threads);
         }
-        let joined = merger.join()?;
-        let (_, compiled) = joined.into_parts();
-        let compiled = compiled.expect("the compiled engines keep the compiled join");
-        Ok((Arc::new(compiled), MergeStrategy::Full))
+        Ok((
+            Arc::new(merger.join()?.into_compiled()),
+            MergeStrategy::Full,
+        ))
     }
 
     fn seed_cache(
@@ -1131,8 +1133,11 @@ impl Registry {
 
     /// Compacts if the auto-snapshot cadence is due. Called with the
     /// write lock held, right after a commit mutated the shared state.
-    /// Errors are swallowed: the commit is already durable in the log,
-    /// and the snapshot will simply be retried at the next commit.
+    /// A failure never fails the commit — it is already durable in the
+    /// log, and the snapshot is retried at the next commit — but it is
+    /// counted in [`Health::snapshot_failures`] and recorded as the last
+    /// storage error. It does not degrade the registry: writes still
+    /// land in the log.
     fn auto_snapshot(&self, shared: &Shared) {
         let Some(persistence) = &self.persistence else {
             return;
@@ -1140,7 +1145,12 @@ impl Registry {
         let mut p = persistence.lock().expect("persistence lock");
         if p.snapshot_every > 0 && p.records_since_snapshot >= p.snapshot_every {
             let view_hash = shared.proper.content_hash();
-            let _ = p.write_snapshot(&shared.members, shared.generation, view_hash);
+            if let Err(err) = p.write_snapshot(&shared.members, shared.generation, view_hash) {
+                self.resilience
+                    .snapshot_failures
+                    .fetch_add(1, Ordering::Relaxed);
+                self.resilience.note_error(&err);
+            }
         }
     }
 }
@@ -1162,8 +1172,8 @@ pub(crate) fn merge_onto(
         merger = merger.threads(threads);
     }
     let report = merger.execute()?;
-    let compiled = match report.compiled {
-        Some(compiled) => Arc::new(compiled),
+    let compiled = match report.join {
+        Some(join) => Arc::new(join.into_compiled()),
         // No extras joined: the caller's rest is already the total join.
         None => Arc::clone(rest),
     };
@@ -1194,6 +1204,27 @@ mod tests {
             .arrow(src, label, tgt)
             .build()
             .unwrap()
+    }
+
+    #[test]
+    fn merge_onto_without_an_extra_reuses_the_rest() {
+        // The delete path: no extra joined, so the merger skips the join
+        // pass and the candidate's join IS the caller's cached rest.
+        let g = schema("Dog", "owner", "Person");
+        let rest = Arc::new(Merger::new().schema(&g).join().unwrap().into_compiled());
+        let candidate = merge_onto(&rest, None, None).unwrap();
+        assert!(Arc::ptr_eq(&candidate.compiled, &rest));
+        let extra = schema("Dog", "age", "int");
+        let grown = merge_onto(&rest, Some(&extra), None).unwrap();
+        assert!(!Arc::ptr_eq(&grown.compiled, &rest));
+        assert_eq!(
+            grown.proper.as_ref(),
+            &Merger::new()
+                .schemas([&g, &extra])
+                .execute()
+                .unwrap()
+                .proper
+        );
     }
 
     /// The key invariant: the registry's view equals the one-shot merge

@@ -109,6 +109,9 @@ pub struct Health {
     pub degrade_events: u64,
     /// Times the registry healed back to writable.
     pub heal_events: u64,
+    /// Automatic snapshots that failed to write. The commits they
+    /// followed were already durable in the log, so none was lost.
+    pub snapshot_failures: u64,
     /// Fault-injection counters, when the store injects faults.
     pub fault_counters: Option<FaultCounters>,
 }

@@ -370,3 +370,45 @@ fn torn_partial_append_is_repaired_before_the_next_commit() {
     let recovered = Registry::builder().store(disk).open().unwrap();
     assert_same_view(99, &recovered, &reference);
 }
+
+/// A failed automatic snapshot is counted and surfaced, never dropped:
+/// the commit it followed stays acked, the registry stays writable, and
+/// the next due snapshot succeeds.
+#[test]
+fn failed_auto_snapshot_is_counted_not_dropped() {
+    let disk = SharedStore::default();
+    let schedule = FaultSchedule::new(5).fail_nth(OpKind::WriteSnapshot, 1, Fault::Permanent);
+    let faulty = Registry::builder()
+        .store(FaultStore::new(disk.clone(), schedule.clone()))
+        .retry_policy(test_policy(2))
+        .snapshot_every(2)
+        .open()
+        .unwrap();
+    let reference = Registry::new();
+
+    let schemas = pool(5);
+    for (i, schema) in schemas.iter().take(2).enumerate() {
+        faulty.put(format!("m{i}"), schema.clone()).unwrap();
+        reference.put(format!("m{i}"), schema.clone()).unwrap();
+    }
+    // The second commit made the snapshot due, and it failed.
+    assert_eq!(schedule.counters().injected, 1);
+    let health = faulty.health();
+    assert_eq!(health.snapshot_failures, 1, "{health:?}");
+    let error = health.last_storage_error.expect("the failure is recorded");
+    assert!(error.contains("snapshot"), "{error}");
+    assert!(!faulty.is_degraded(), "a snapshot failure does not degrade");
+    assert_eq!(faulty.stats().snapshots_written, 0);
+
+    // The next commit retries the still-due snapshot, which succeeds.
+    faulty.put("m2", schemas[2].clone()).unwrap();
+    reference.put("m2", schemas[2].clone()).unwrap();
+    assert_eq!(faulty.stats().snapshots_written, 1);
+    assert_eq!(faulty.health().snapshot_failures, 1);
+    assert_same_view(5, &faulty, &reference);
+
+    // Every acked commit survives a crash and reopen.
+    drop(faulty);
+    let recovered = Registry::builder().store(disk).open().unwrap();
+    assert_same_view(5, &recovered, &reference);
+}

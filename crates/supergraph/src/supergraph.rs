@@ -444,8 +444,8 @@ impl Supergraph {
                         .merger(Merger::new().onto_base(&rest).schema(extra.as_ref()))
                         .execute()
                         .map_err(SupergraphError::Compose)?;
-                    let total = match report.compiled.take() {
-                        Some(compiled) => Arc::new(compiled),
+                    let total = match report.join.take() {
+                        Some(join) => Arc::new(join.into_compiled()),
                         None => Arc::clone(&rest),
                     };
                     (strategy, report, total, Some((rest_fp, rest)))
@@ -457,15 +457,13 @@ impl Supergraph {
                         .merger(Merger::new().schemas(states.iter().map(|(_, s)| s.weak.as_ref())))
                         .execute()
                         .map_err(SupergraphError::Compose)?;
-                    let total = match report.compiled.take() {
-                        Some(compiled) => Arc::new(compiled),
-                        None => Arc::new(CompiledSchema::compile(
-                            report
-                                .weak
-                                .as_ref()
-                                .expect("non-base compose plans keep a join"),
-                        )),
-                    };
+                    let total = Arc::new(
+                        report
+                            .join
+                            .take()
+                            .expect("non-base compose plans keep a join")
+                            .into_compiled(),
+                    );
                     (MergeStrategy::Full, report, total, None)
                 }
             };
@@ -617,14 +615,11 @@ impl Supergraph {
         &self,
         states: impl Iterator<Item = &'a MemberState>,
     ) -> Result<Arc<CompiledSchema>, SupergraphError> {
-        let (_, compiled) = self
+        let join = self
             .merger(Merger::new().schemas(states.map(|s| s.weak.as_ref())))
             .join()
-            .map_err(SupergraphError::Compose)?
-            .into_parts();
-        Ok(Arc::new(
-            compiled.expect("the compiled engines keep the compiled join"),
-        ))
+            .map_err(SupergraphError::Compose)?;
+        Ok(Arc::new(join.into_compiled()))
     }
 }
 
@@ -632,7 +627,7 @@ fn empty_view() -> Arc<ComposedView> {
     let mut report = Merger::new()
         .execute()
         .expect("the empty merge cannot fail");
-    report.compiled = None;
+    report.join = None;
     report.origins = Some(ComposeProvenance::default());
     Arc::new(ComposedView {
         generation: 0,

@@ -65,9 +65,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .schema(&municipal)
         .schema(&veterinary)
         .join()?
-        .into_parts()
-        .1
-        .expect("the default engine keeps the compiled join");
+        .into_compiled();
     let chip_db = WeakSchema::builder().arrow("Dog", "chip", "Chip").build()?;
     let incremental = Merger::new().onto_base(&base).schema(&chip_db).execute()?;
     println!(

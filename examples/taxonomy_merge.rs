@@ -1,60 +1,12 @@
-//! Merging large class taxonomies: the partitioned engine and the
-//! target-driven (preferred-hierarchy) reporting mode.
-//!
-//! Two federated curators each know part of a multi-forest taxonomy
-//! (disjoint subject trees — no specialization or arrow ever crosses
-//! forests). The merge therefore splits along the weakly-connected
-//! components of the combined graph: each component merges
-//! independently and the results are stitched at the seams, which is
-//! exactly what `Merger` plans when the component analysis finds more
-//! than one forest. At real scale (the auto-planner engages at 4096+
-//! classes) this bounds every per-component working set; here we force
-//! the engine on a small taxonomy so the example stays fast.
+//! Merging class taxonomies in the target-driven (preferred-hierarchy)
+//! reporting mode.
 //!
 //! Run with `cargo run --example taxonomy_merge`.
 
-use schema_merge_core::{EnginePreference, Merger, PlannedEngine, WeakSchema};
-use schema_merge_workload::{taxonomy, taxonomy_family, TaxonomyParams};
+use schema_merge_core::{Merger, WeakSchema};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    // ── 1. A multi-forest taxonomy, refined by a partial curator ────
-    // 600 classes in 3 disjoint forests (branching-8 trees with a few
-    // extra DAG parents): the published taxonomy, merged with one
-    // curator's partial view of it (~70% of the edges).
-    let params = TaxonomyParams::dag(600, 3, 7);
-    let published = taxonomy(&params);
-    let curator = taxonomy_family(&params, 1).remove(0);
-
-    let inputs = [&published, &curator];
-    let merger = Merger::new()
-        .schemas(inputs)
-        .engine(EnginePreference::Partitioned)
-        .threads(2);
-    let plan = merger.plan();
-    println!("plan: {plan}");
-    assert_eq!(plan.engine, PlannedEngine::Partitioned);
-    assert_eq!(plan.partitions, 3, "one component per forest");
-
-    let report = merger.execute()?;
-    println!(
-        "merged {} classes, {} specializations",
-        report.proper.as_weak().num_classes(),
-        report.proper.as_weak().num_specializations(),
-    );
-    for diagnostic in &report.diagnostics {
-        if diagnostic.code() == "I-PARTITIONED" {
-            println!("  [{}] {}", diagnostic.code(), diagnostic.message);
-        }
-    }
-    // The split is invisible in the result: components never interact,
-    // so the stitched merge *is* the paper's least upper bound.
-    let monolithic = Merger::new()
-        .schemas(inputs)
-        .engine(EnginePreference::Compiled)
-        .execute()?;
-    assert_eq!(report.proper, monolithic.proper);
-
-    // ── 2. Target-driven merging: prefer one hierarchy ──────────────
+    // ── Target-driven merging: prefer one hierarchy ─────────────────
     // ATOM-style taxonomy merging treats one input as the *target*
     // whose shape should survive. Preference can never change the LUB
     // (that associativity is the paper's point) — instead the report
@@ -75,7 +27,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .schema_named("field", &field_observations)
         .prefer_hierarchy("curated")
         .execute()?;
-    println!("\ntarget-driven report for `curated`:");
+    println!("target-driven report for `curated`:");
     for diagnostic in &report.diagnostics {
         if diagnostic.code().starts_with("I-TARGET") {
             println!("  [{}] {}", diagnostic.code(), diagnostic.message);

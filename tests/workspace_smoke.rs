@@ -21,11 +21,8 @@ fn weak_merge_through_the_facade_prelude() {
         .unwrap();
     let merged = Merger::new().schema(&g1).schema(&g2).execute().unwrap();
     assert_eq!(merged.proper.labels_of(&Class::named("Dog")).len(), 2);
-    assert!(merged
-        .weak
-        .as_ref()
-        .unwrap()
-        .is_subschema_of(merged.proper.as_weak()));
+    let outcome = merged.into_outcome();
+    assert!(outcome.weak.is_subschema_of(outcome.proper.as_weak()));
 }
 
 #[test]
