@@ -25,24 +25,21 @@
 //!    when the log is empty) — an end-to-end check that recovery
 //!    reproduced the view the writer actually served.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::Arc;
 use std::time::Instant;
 
-use schema_merge_core::{CompletionReport, Merger, ProperSchema, WeakSchema};
+use schema_merge_core::{Merger, WeakSchema};
 use schema_merge_telemetry as telemetry;
 
-use crate::cache::{fingerprint, JoinCache};
+use crate::cache::fingerprint;
 use crate::error::RegistryError;
-use crate::registry::{
-    merge_onto, Counters, Persistence, Registry, RegistryMetrics, Resilience, Shared,
-};
-use crate::resilience::RetryPolicy;
+use crate::registry::{merge_onto, Mutation, Persistence, Registry, StoreStats};
+use crate::resilience::{retry, RetryPolicy};
 use crate::storage::snapshot::SnapshotState;
 use crate::storage::wal::{self, WalRecord};
 use crate::storage::{snapshot, LocalStore, StorageError, Store};
-use crate::version::{MemberRecord, SchemaVersion};
 
 /// Records between auto-snapshots unless
 /// [`RegistryBuilder::snapshot_every`] says otherwise.
@@ -127,8 +124,8 @@ impl RegistryBuilder {
     /// exponential-backoff budget (recovery reads retry too), and
     /// budget exhaustion flips the registry into degraded read-only
     /// mode instead of leaving it an error fountain — see
-    /// [`crate::resilience`]. Without this call the registry is
-    /// fail-fast, exactly as before.
+    /// [`crate::resilience`]. Without this call a storage error fails
+    /// the one call it hit and the registry stays writable.
     pub fn retry_policy(mut self, policy: RetryPolicy) -> Self {
         self.retry_policy = Some(policy);
         self
@@ -150,118 +147,37 @@ impl RegistryBuilder {
             (None, Some(dir)) => Some(Box::new(LocalStore::open(dir)?)),
             (None, None) => None,
         };
-        let Some(mut store) = store else {
-            let mut registry = Registry::new();
-            registry.merge_threads = self.merge_threads;
-            registry.resilience = Resilience::new(self.retry_policy);
-            return Ok(registry);
-        };
-        let recovery_started = Instant::now();
-        let recovered = {
-            let mut span = telemetry::span("recover");
-            let recovered = recover(&mut store, self.merge_threads, self.retry_policy.as_ref())?;
-            span.attr("generation", recovered.generation);
-            span.attr("wal_records", recovered.wal_records);
-            recovered
-        };
-        let mut cache = JoinCache::default();
-        if let Some(compiled) = &recovered.compiled {
-            // Seed the join cache with the full-set join so the first
-            // publish after reboot is already incremental.
-            let fp = fingerprint(
-                recovered
-                    .members
-                    .iter()
-                    .map(|(n, r)| (n.as_str(), r.current().hash)),
-            );
-            cache.insert(fp, Arc::clone(compiled));
+        let mut registry = Registry::new();
+        registry.merge_threads = self.merge_threads;
+        registry.resilience.policy = self.retry_policy;
+        if let Some(store) = store {
+            let recovery_started = Instant::now();
+            recover(&mut registry, store, self.snapshot_every)?;
+            let elapsed = recovery_started.elapsed();
+            registry.metrics.recovery_latency.record(elapsed);
         }
-        let registry = Registry {
-            shared: RwLock::new(Shared {
-                generation: recovered.generation,
-                members: recovered.members,
-                proper: recovered.proper,
-                report: recovered.report,
-            }),
-            cache: Mutex::new(cache),
-            counters: Counters::default(),
-            merge_threads: self.merge_threads,
-            persistence: Some(Mutex::new(Persistence {
-                store,
-                snapshot_every: self.snapshot_every,
-                wal_records: recovered.wal_records,
-                records_since_snapshot: recovered.wal_records,
-                snapshot_generation: recovered.snapshot_generation,
-                snapshot_bytes: recovered.snapshot_bytes,
-                snapshots_written: 0,
-                on_disk: recovered.on_disk,
-                torn_at: None,
-            })),
-            metrics: RegistryMetrics::default(),
-            resilience: Resilience::new(self.retry_policy),
-        };
-        registry
-            .metrics
-            .recovery_latency
-            .record(recovery_started.elapsed());
         Ok(registry)
     }
 }
 
-/// Everything [`recover`] rebuilds from the store.
-struct Recovered {
-    generation: u64,
-    members: BTreeMap<String, MemberRecord>,
-    proper: Arc<ProperSchema>,
-    report: Arc<CompletionReport>,
-    /// The compiled full-set join (absent when there are no members).
-    compiled: Option<Arc<schema_merge_core::CompiledSchema>>,
-    snapshot_generation: u64,
-    snapshot_bytes: u64,
-    wal_records: u64,
-    on_disk: HashSet<u64>,
-}
-
-/// Runs `op`, retrying transient storage failures under `policy` (when
-/// one is configured) with the same jittered backoff the commit path
-/// uses. Recovery is read-mostly, so a flaky boot-time read should not
-/// abort the open when the registry opted into resilience.
-fn retrying<T>(
-    policy: Option<&RetryPolicy>,
-    salt: u64,
-    mut op: impl FnMut() -> Result<T, StorageError>,
-) -> Result<T, StorageError> {
-    let mut attempt: u32 = 0;
-    loop {
-        match op() {
-            Ok(value) => return Ok(value),
-            Err(err) if err.is_transient() => {
-                let Some(policy) = policy else {
-                    return Err(err);
-                };
-                if attempt >= policy.max_retries() {
-                    return Err(err);
-                }
-                attempt += 1;
-                std::thread::sleep(policy.backoff(attempt, salt));
-            }
-            Err(err) => return Err(err),
-        }
-    }
-}
-
+/// Rebuilds `registry`'s state from `store` as the [module docs](self)
+/// describe, then hands it the store as its persistence arm.
 fn recover(
-    store: &mut Box<dyn Store>,
-    threads: Option<usize>,
-    policy: Option<&RetryPolicy>,
-) -> Result<Recovered, StorageError> {
+    registry: &mut Registry,
+    mut store: Box<dyn Store>,
+    snapshot_every: u64,
+) -> Result<(), StorageError> {
+    let mut span = telemetry::span("recover");
+    // Recovery is read-mostly: under a policy a flaky boot-time read
+    // retries instead of aborting the open.
+    let policy = registry.resilience.policy.as_ref();
     // 1. The newest snapshot, if any.
-    let snapshots = retrying(policy, 1, || store.list_snapshots())?;
+    let snapshots = retry(policy, 1, |_| store.list_snapshots())?;
     let mut state = SnapshotState::default();
     let mut snapshot_bytes = 0u64;
     let mut last_view_hash = None;
     if let Some(&latest) = snapshots.last() {
-        let image = retrying(policy, 2, || store.read_snapshot(latest))?;
+        let image = retry(policy, 2, |_| store.read_snapshot(latest))?;
         snapshot_bytes = image.len() as u64;
         state = snapshot::decode(&image)?;
         last_view_hash = Some(state.view_hash);
@@ -269,10 +185,10 @@ fn recover(
 
     // 2. The log's valid prefix; a torn tail was never acknowledged and
     // is truncated away so appends resume on a frame boundary.
-    let image = retrying(policy, 3, || store.read_log())?;
+    let image = retry(policy, 3, |_| store.read_log())?;
     let scan = wal::read_frames(&image)?;
     if scan.valid_len < image.len() as u64 {
-        retrying(policy, 4, || store.truncate_log(scan.valid_len))?;
+        retry(policy, 4, |_| store.truncate_log(scan.valid_len))?;
     }
 
     // Blob table: snapshot bodies plus every body carried in the log
@@ -294,30 +210,24 @@ fn recover(
             blobs.insert(*hash, Arc::clone(schema));
         }
     }
+    let put = |name: &str, hash: u64| {
+        let schema = blobs.get(&hash).cloned().ok_or_else(|| {
+            StorageError::corrupt(format!(
+                "put of `{name}` references blob {hash:#018x} \
+                 carried by no snapshot or earlier record"
+            ))
+        })?;
+        let name = name.to_string();
+        Ok::<_, StorageError>(Mutation::Put { name, schema, hash })
+    };
 
-    // Member histories: the snapshot's, then the post-snapshot records.
-    let mut members: BTreeMap<String, MemberRecord> = BTreeMap::new();
+    // Member histories: the snapshot's, then the post-snapshot records,
+    // each applied as the mutation that committed it.
+    let mut members = BTreeMap::new();
     for (name, versions) in &state.members {
-        let mut record = MemberRecord {
-            versions: Vec::new(),
-        };
         for meta in versions {
-            // Unreachable after `snapshot::decode` validated references,
-            // but kept honest rather than unwrapped.
-            let schema = blobs.get(&meta.hash).cloned().ok_or_else(|| {
-                StorageError::corrupt(format!(
-                    "snapshot member `{name}` references missing blob {:#018x}",
-                    meta.hash
-                ))
-            })?;
-            record.versions.push(SchemaVersion {
-                hash: meta.hash,
-                sequence: meta.sequence,
-                generation: meta.generation,
-                schema,
-            });
+            put(name, meta.hash)?.apply(&mut members, meta.generation);
         }
-        members.insert(name.clone(), record);
     }
     let mut generation = state.generation;
     let mut wal_records = 0u64;
@@ -332,69 +242,53 @@ fn recover(
                 record.generation()
             )));
         }
+        generation = record.generation();
         match record {
-            WalRecord::Put {
-                generation: g,
-                member,
-                hash,
-                sequence,
-                ..
-            } => {
-                let schema = blobs.get(hash).cloned().ok_or_else(|| {
-                    StorageError::corrupt(format!(
-                        "put of `{member}` references blob {hash:#018x} \
-                         carried by no snapshot or earlier record"
-                    ))
-                })?;
-                members
-                    .entry(member.clone())
-                    .or_insert_with(|| MemberRecord {
-                        versions: Vec::new(),
-                    })
-                    .versions
-                    .push(SchemaVersion {
-                        hash: *hash,
-                        sequence: *sequence,
-                        generation: *g,
-                        schema,
-                    });
+            WalRecord::Put { member, hash, .. } => {
+                put(member, *hash)?.apply(&mut members, generation);
             }
             WalRecord::Delete { member, .. } => {
-                if members.remove(member.as_str()).is_none() {
+                let delete = Mutation::Delete {
+                    name: member.clone(),
+                };
+                if !delete.apply(&mut members, generation) {
                     return Err(StorageError::corrupt(format!(
                         "delete of `{member}`, which does not exist at that point"
                     )));
                 }
             }
         }
-        generation = record.generation();
         last_view_hash = Some(record.view_hash());
     }
 
     // 3. Recompute the merged view — it is a deterministic LUB of the
-    // recovered members, so it is derived, never trusted from disk.
-    let (proper, report, compiled) = if members.is_empty() {
-        let empty = ProperSchema::try_new(WeakSchema::empty()).expect("the empty schema is proper");
-        (Arc::new(empty), Arc::new(CompletionReport::default()), None)
-    } else {
-        let remerge = || -> Result<_, schema_merge_core::MergeError> {
+    // recovered members, so it is derived, never trusted from disk. The
+    // full-set join seeds the cache, so the first publish after reboot
+    // is already incremental. No members: the new registry's empty view.
+    let threads = registry.merge_threads;
+    let shared = registry.shared.get_mut().expect("registry lock");
+    if !members.is_empty() {
+        let remerge = || {
             let mut merger =
                 Merger::new().schemas(members.values().map(|r| r.current().schema.as_ref()));
             if let Some(threads) = threads {
                 merger = merger.threads(threads);
             }
-            let compiled = Arc::new(merger.join()?.into_compiled());
-            let candidate = merge_onto(&compiled, None, threads)?;
-            Ok((candidate.proper, candidate.report, Some(candidate.compiled)))
+            merge_onto(&Arc::new(merger.join()?.into_compiled()), None, threads)
         };
-        remerge().map_err(|cause| {
+        let merged = remerge().map_err(|cause| {
             StorageError::corrupt(format!("recovered member set does not merge: {cause}"))
-        })?
-    };
+        })?;
+        let fp = fingerprint(members.iter().map(|(n, r)| (n.as_str(), r.current().hash)));
+        let cache = registry.cache.get_mut().expect("cache lock");
+        cache.insert(fp, merged.compiled);
+        shared.proper = merged.proper;
+        shared.report = merged.report;
+    }
 
     // 4. End-to-end verification against the last committed view hash.
     if let Some(expected) = last_view_hash {
-        let actual = proper.content_hash();
+        let actual = shared.proper.content_hash();
         if actual != expected {
             return Err(StorageError::corrupt(format!(
                 "recovered view hashes to {actual:#018x}, but the last committed \
@@ -402,18 +296,26 @@ fn recover(
             )));
         }
     }
-
-    Ok(Recovered {
-        generation,
-        members,
-        proper,
-        report,
-        compiled,
-        snapshot_generation: snapshots.last().copied().unwrap_or(0),
-        snapshot_bytes,
-        wal_records,
-        on_disk: blobs.keys().copied().collect(),
-    })
+    span.attr("generation", generation);
+    span.attr("wal_records", wal_records);
+    shared.generation = generation;
+    shared.members = members;
+    let mut persistence = Persistence {
+        store,
+        snapshot_every,
+        stats: StoreStats {
+            wal_records,
+            wal_bytes: scan.valid_len,
+            snapshot_generation: snapshots.last().copied().unwrap_or(0),
+            snapshot_bytes,
+            ..StoreStats::default()
+        },
+        on_disk: blobs.into_keys().collect(),
+        torn_at: None,
+    };
+    *registry.store_stats.get_mut().expect("store stats lock") = Some(persistence.publish());
+    *registry.writer.get_mut().expect("writer lock") = Some(persistence);
+    Ok(())
 }
 
 #[cfg(test)]

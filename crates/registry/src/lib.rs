@@ -15,8 +15,9 @@
 //!
 //! * [`Registry`] — the engine. Named members hold content-hashed
 //!   immutable [`SchemaVersion`]s; a generation-stamped merged view sits
-//!   behind an `RwLock`, so reads are wait-free Arc clones and writers
-//!   recompute optimistically outside the lock.
+//!   behind an `RwLock`, so reads are brief Arc clones. One writer mutex
+//!   orders the commits, which merge and write the log with no view lock
+//!   held and take the write lock only to swap the new view in.
 //! * **Incremental re-merge** — on [`Registry::put`] / [`Registry::delete`]
 //!   the engine reuses the cached *compiled* join of the unchanged
 //!   members (associativity: `⊔ᵢGᵢ = (⊔ᵢ≠ₖGᵢ) ⊔ Gₖ`) and re-runs only

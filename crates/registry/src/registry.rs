@@ -3,17 +3,24 @@
 //!
 //! ## Concurrency
 //!
-//! The mutable state (members, generation, merged view) lives behind one
+//! The view state (members, generation, merged view) lives behind one
 //! `RwLock`; the join cache behind its own `Mutex` (the two are never
 //! held at once). Reads — [`Registry::merged`], [`Registry::get`],
-//! [`Registry::stats`], [`Registry::query`] — take the read lock just
-//! long enough to clone an `Arc`. Writers are *optimistic*: they
-//! snapshot under the read lock, compute the candidate merged view with
-//! no lock held, then take the write lock only to validate the
-//! generation and commit. A writer that lost the race recomputes from a
-//! fresh snapshot — every retry means another writer committed, so the
-//! system as a whole always makes progress and the expensive merge work
-//! never blocks readers.
+//! [`Registry::list`], [`Registry::stats`], [`Registry::health`],
+//! [`Registry::query`] — take the read lock just long enough to clone an
+//! `Arc`, and never take a lock that a commit holds across merge work,
+//! storage I/O or a retry backoff.
+//!
+//! Commits are ordered by one *writer mutex*, which owns the persistence
+//! arm. Under it, a commit captures the unchanged members under a brief
+//! read lock, plans and executes the merge with no view lock held,
+//! appends and fsyncs its WAL record, and only then takes the write lock
+//! to apply the mutation and swap in the new view — pointer work. A due
+//! auto-snapshot follows, its state captured under a brief read lock and
+//! written under the writer mutex alone. The one lock order is
+//! writer → view. [`Registry::put`] and [`Registry::delete`] are thin
+//! wrappers over that single commit path; a no-op republish is answered
+//! from the read lock and never queues behind a commit.
 //!
 //! ## Incrementality
 //!
@@ -40,10 +47,10 @@
 //!
 //! A registry opened with a store ([`crate::RegistryBuilder::data_dir`]
 //! or [`crate::RegistryBuilder::store`]) writes every commit to an
-//! append-only WAL *before* it becomes visible: inside the commit
-//! critical section, after the generation race is won but before the
-//! shared state mutates, the put/delete record is framed, appended and
-//! fsync'd ([`crate::storage`]). A commit that cannot be made durable is
+//! append-only WAL *before* it becomes visible: under the writer mutex,
+//! after the merge succeeded but before the view state mutates, the
+//! put/delete record is framed, appended and fsync'd
+//! ([`crate::storage`]). A commit that cannot be made durable is
 //! returned as [`RegistryError::Storage`] with the registry untouched,
 //! so the in-memory state never runs ahead of the log — crash anywhere
 //! and recovery replays exactly the acknowledged sequence. Every
@@ -65,11 +72,11 @@ use schema_merge_telemetry::{self as telemetry, Histogram, HistogramSnapshot};
 use crate::cache::{fingerprint, JoinCache};
 use crate::config::RegistryBuilder;
 use crate::error::RegistryError;
-use crate::resilience::{Health, RetryPolicy};
+use crate::resilience::{retry, Health, RetryPolicy};
 use crate::stats::RegistryStats;
 use crate::storage::snapshot::{SnapshotState, VersionMeta};
-use crate::storage::wal::WalRecord;
-use crate::storage::{snapshot, wal, StorageError, Store};
+use crate::storage::wal::{self, WalRecord};
+use crate::storage::{snapshot, FaultCounters, StorageError, Store};
 use crate::version::{MemberInfo, MemberRecord, SchemaVersion};
 
 /// How a commit's merged view was computed.
@@ -182,96 +189,18 @@ pub(crate) struct Shared {
     pub(crate) report: Arc<CompletionReport>,
 }
 
-/// The registry's persistence arm: the pluggable store plus the
-/// bookkeeping that makes WAL dedup and compaction cadence work. Locked
-/// only while the commit (shared-state) lock is held by the same caller
-/// or while no shared lock is needed at all, so the lock order
-/// shared → persistence is global and deadlock-free.
-pub(crate) struct Persistence {
-    pub(crate) store: Box<dyn Store>,
-    /// Auto-snapshot after this many WAL records (0 = manual only).
-    pub(crate) snapshot_every: u64,
-    /// Records in the log since the last compaction.
-    pub(crate) wal_records: u64,
-    pub(crate) records_since_snapshot: u64,
-    /// Generation of the newest snapshot object (0 = none).
-    pub(crate) snapshot_generation: u64,
-    pub(crate) snapshot_bytes: u64,
-    pub(crate) snapshots_written: u64,
-    /// Content hashes whose schema bodies are currently recoverable from
-    /// the store (snapshot blob table ∪ bodies carried in the live log).
-    /// A put whose hash is present appends a by-reference record — the
-    /// WAL-level content-hash dedup.
-    pub(crate) on_disk: HashSet<u64>,
-    /// Pre-append log length of a failed append that may have left a
-    /// torn partial frame behind (`None` = log tail is clean). A retry
-    /// must truncate back here first or the log is unrecoverable past
-    /// the garbage. Only tracked when a retry policy is active — the
-    /// fail-fast path keeps its zero-overhead shape and leaves torn
-    /// tails to boot-time recovery, as before.
-    pub(crate) torn_at: Option<u64>,
-}
-
-impl Persistence {
-    /// Frames, appends and fsyncs one record. On success the record is
-    /// durable; only then may the caller make the commit visible. The
-    /// store call — write plus fsync, per the [`Store::append`]
-    /// contract — is timed into `fsync`, the registry's durability-wait
-    /// histogram.
-    fn append(
-        &mut self,
-        record: &WalRecord,
-        fsync: &Histogram,
-        track_torn: bool,
-    ) -> Result<(), StorageError> {
-        let frame = wal::encode_frame(record);
-        let base = if track_torn {
-            self.store.log_bytes().ok()
-        } else {
-            None
-        };
-        let mut span = telemetry::span("wal-append");
-        span.attr_usize("bytes", frame.len());
-        let started = Instant::now();
-        if let Err(err) = self.store.append(&frame) {
-            self.torn_at = base;
-            return Err(err);
-        }
-        fsync.record(started.elapsed());
-        drop(span);
-        self.wal_records += 1;
-        self.records_since_snapshot += 1;
-        Ok(())
-    }
-
-    /// Truncates away the partial frame a failed append may have left,
-    /// restoring the log to its last-known-good length.
-    fn repair_torn(&mut self) -> Result<(), StorageError> {
-        if let Some(base) = self.torn_at {
-            self.store.truncate_log(base)?;
-            self.torn_at = None;
-        }
-        Ok(())
-    }
-
-    /// Writes a snapshot of `members` at `generation`, truncates the
-    /// log, and drops superseded snapshot objects. The caller must hold
-    /// the shared lock (read or write) so no commit can interleave
-    /// between the state capture and the log truncation.
-    fn write_snapshot(
-        &mut self,
-        members: &BTreeMap<String, MemberRecord>,
-        generation: u64,
-        view_hash: u64,
-    ) -> Result<u64, StorageError> {
-        let mut span = telemetry::span("snapshot");
-        span.attr("generation", generation);
+impl Shared {
+    /// The durable state as a snapshot image would hold it: an `Arc`
+    /// clone of every version, schema bodies deduplicated by content
+    /// hash. Pointer work, so a writer captures it under a brief read
+    /// lock and encodes it with none.
+    fn snapshot_state(&self) -> SnapshotState {
         let mut state = SnapshotState {
-            generation,
-            view_hash,
+            generation: self.generation,
+            view_hash: self.proper.content_hash(),
             ..SnapshotState::default()
         };
-        for (name, record) in members {
+        for (name, record) in &self.members {
             let mut versions = Vec::with_capacity(record.versions.len());
             for v in &record.versions {
                 state
@@ -286,31 +215,176 @@ impl Persistence {
             }
             state.members.insert(name.clone(), versions);
         }
-        let image = snapshot::encode(&state);
+        state
+    }
+}
+
+/// One member-history change: the unit a commit orders and the WAL
+/// records. Commit and WAL replay apply it through the same
+/// [`Mutation::apply`].
+pub(crate) enum Mutation {
+    /// Publish `schema` (content hash `hash`) as `name`'s next version.
+    Put {
+        name: String,
+        schema: Arc<WeakSchema>,
+        hash: u64,
+    },
+    /// Remove member `name`.
+    Delete { name: String },
+}
+
+impl Mutation {
+    fn name(&self) -> &str {
+        match self {
+            Mutation::Put { name, .. } | Mutation::Delete { name } => name,
+        }
+    }
+
+    /// Applies the change as the commit of `generation`: a put appends
+    /// the member's next version (creating the member), a delete removes
+    /// the member. Returns `false`, leaving `members` untouched, for a
+    /// delete of an absent member.
+    pub(crate) fn apply(
+        self,
+        members: &mut BTreeMap<String, MemberRecord>,
+        generation: u64,
+    ) -> bool {
+        match self {
+            Mutation::Put { name, schema, hash } => {
+                let record = members.entry(name).or_insert_with(|| MemberRecord {
+                    versions: Vec::new(),
+                });
+                record.versions.push(SchemaVersion {
+                    hash,
+                    sequence: record.versions.len() as u32 + 1,
+                    generation,
+                    schema,
+                });
+                true
+            }
+            Mutation::Delete { name } => members.remove(&name).is_some(),
+        }
+    }
+}
+
+/// The store's numbers that STATS and HEALTH report. The writer keeps
+/// the live copy in [`Persistence`] and publishes it to the registry at
+/// the end of every writer section, so reads never wait on the writer
+/// mutex.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct StoreStats {
+    /// Records in the log since the last compaction.
+    pub(crate) wal_records: u64,
+    /// Bytes in the log.
+    pub(crate) wal_bytes: u64,
+    /// Generation of the newest snapshot object (0 = none).
+    pub(crate) snapshot_generation: u64,
+    pub(crate) snapshot_bytes: u64,
+    pub(crate) snapshots_written: u64,
+    /// The store's fault-injection counters, when it injects faults.
+    pub(crate) fault_counters: Option<FaultCounters>,
+}
+
+/// The registry's persistence arm: the pluggable store plus the
+/// bookkeeping that makes WAL dedup, torn-tail repair and compaction
+/// cadence work. Owned by the writer mutex, so every store call is
+/// ordered with the commits.
+pub(crate) struct Persistence {
+    pub(crate) store: Box<dyn Store>,
+    /// Auto-snapshot after this many WAL records (0 = manual only).
+    pub(crate) snapshot_every: u64,
+    pub(crate) stats: StoreStats,
+    /// Content hashes whose schema bodies are currently recoverable from
+    /// the store (snapshot blob table ∪ bodies carried in the live log).
+    /// A put whose hash is present appends a by-reference record — the
+    /// WAL-level content-hash dedup.
+    pub(crate) on_disk: HashSet<u64>,
+    /// Pre-append log length of a failed append that may have left a
+    /// torn partial frame behind (`None` = log tail is clean). The next
+    /// append — or probe — truncates back here first, or the log would
+    /// be unrecoverable past the garbage.
+    pub(crate) torn_at: Option<u64>,
+}
+
+impl Persistence {
+    /// Appends one framed record and makes it durable; only then may the
+    /// caller make the commit visible. The log length is read first, so
+    /// a failure that tears the frame is repaired before the next
+    /// append. The store call — write plus fsync, per the
+    /// [`Store::append`] contract — is timed into `fsync`, the
+    /// registry's durability-wait histogram.
+    fn append(&mut self, frame: &[u8], fsync: &Histogram) -> Result<(), StorageError> {
+        self.repair_torn()?;
+        let base = self.store.log_bytes()?;
+        let mut span = telemetry::span("wal-append");
+        span.attr_usize("bytes", frame.len());
+        let started = Instant::now();
+        if let Err(err) = self.store.append(frame) {
+            self.torn_at = Some(base);
+            return Err(err);
+        }
+        fsync.record(started.elapsed());
+        drop(span);
+        self.stats.wal_records += 1;
+        // An empty log gains its format header ahead of the first frame.
+        self.stats.wal_bytes = base.max(wal::WAL_HEADER_LEN as u64) + frame.len() as u64;
+        Ok(())
+    }
+
+    /// Truncates away the partial frame a failed append may have left,
+    /// restoring the log to its last-known-good length.
+    fn repair_torn(&mut self) -> Result<(), StorageError> {
+        if let Some(base) = self.torn_at {
+            self.store.truncate_log(base)?;
+            self.torn_at = None;
+        }
+        Ok(())
+    }
+
+    /// Writes `state` as a snapshot, truncates the log, and drops
+    /// superseded snapshot objects. The caller must be the writer, so no
+    /// commit can interleave between the state capture and the log
+    /// truncation.
+    fn write_snapshot(&mut self, state: &SnapshotState) -> Result<u64, StorageError> {
+        let mut span = telemetry::span("snapshot");
+        span.attr("generation", state.generation);
+        let image = snapshot::encode(state);
         span.attr_usize("bytes", image.len());
-        self.store.write_snapshot(generation, &image)?;
+        self.store.write_snapshot(state.generation, &image)?;
         // The snapshot holds everything: the log is now redundant, and
         // older snapshot objects are superseded.
         self.store.truncate_log(0)?;
+        self.torn_at = None;
         for old in self.store.list_snapshots()? {
-            if old != generation {
+            if old != state.generation {
                 self.store.remove_snapshot(old)?;
             }
         }
-        self.snapshot_generation = generation;
-        self.snapshot_bytes = image.len() as u64;
-        self.snapshots_written += 1;
-        self.wal_records = 0;
-        self.records_since_snapshot = 0;
+        self.stats.snapshot_generation = state.generation;
+        self.stats.snapshot_bytes = image.len() as u64;
+        self.stats.snapshots_written += 1;
+        self.stats.wal_records = 0;
+        self.stats.wal_bytes = self.store.log_bytes().unwrap_or(0);
         self.on_disk = state.blobs.keys().copied().collect();
-        Ok(generation)
+        Ok(state.generation)
+    }
+
+    fn snapshot_due(&self) -> bool {
+        self.snapshot_every > 0 && self.stats.wal_records >= self.snapshot_every
+    }
+
+    /// Refreshes the fault counters and returns the numbers to publish.
+    pub(crate) fn publish(&mut self) -> StoreStats {
+        self.stats.fault_counters = self.store.fault_counters();
+        self.stats
     }
 }
 
 /// The registry's resilience state: the opt-in retry policy plus the
 /// degraded-mode flag and its counters. With no policy configured
 /// (`policy: None`, the default) the registry is fail-fast and never
-/// degrades — exactly the pre-resilience behavior.
+/// degrades.
+#[derive(Default)]
 pub(crate) struct Resilience {
     pub(crate) policy: Option<RetryPolicy>,
     degraded: AtomicBool,
@@ -322,26 +396,8 @@ pub(crate) struct Resilience {
 }
 
 impl Resilience {
-    pub(crate) fn new(policy: Option<RetryPolicy>) -> Self {
-        Resilience {
-            policy,
-            degraded: AtomicBool::new(false),
-            last_error: Mutex::new(None),
-            storage_retries: AtomicU64::new(0),
-            degrade_events: AtomicU64::new(0),
-            heal_events: AtomicU64::new(0),
-            snapshot_failures: AtomicU64::new(0),
-        }
-    }
-
     fn note_error(&self, err: &StorageError) {
         *self.last_error.lock().expect("resilience lock") = Some(err.to_string());
-    }
-}
-
-impl Default for Resilience {
-    fn default() -> Self {
-        Resilience::new(None)
     }
 }
 
@@ -351,7 +407,6 @@ pub(crate) struct Counters {
     full: AtomicU64,
     noop: AtomicU64,
     rejected: AtomicU64,
-    retries: AtomicU64,
     requests: AtomicU64,
 }
 
@@ -363,7 +418,8 @@ pub(crate) struct RegistryMetrics {
     /// When this registry instance was opened (new or recovered).
     pub(crate) started_at: Instant,
     /// End-to-end latency of successful generation-spending commits
-    /// (put/delete, noops excluded), snapshot-to-visible.
+    /// (put/delete, noops excluded), capture-to-visible plus any
+    /// auto-snapshot the commit ran.
     pub(crate) commit_latency: Histogram,
     /// Durability wait per commit: the WAL append + fsync store call.
     pub(crate) fsync_latency: Histogram,
@@ -393,8 +449,13 @@ pub struct Registry {
     /// defaults: sequential below the parallel work threshold, the
     /// machine's parallelism above it).
     pub(crate) merge_threads: Option<usize>,
-    /// The durability arm; `None` for a purely in-memory registry.
-    pub(crate) persistence: Option<Mutex<Persistence>>,
+    /// The writer mutex: it orders every commit, snapshot and probe, and
+    /// owns the durability arm (`None` for a purely in-memory registry).
+    /// No read ever takes it.
+    pub(crate) writer: Mutex<Option<Persistence>>,
+    /// The store's numbers as of the last writer section (`None` for an
+    /// in-memory registry) — what STATS and HEALTH read.
+    pub(crate) store_stats: Mutex<Option<StoreStats>>,
     /// Latency histograms and the uptime epoch.
     pub(crate) metrics: RegistryMetrics,
     /// Retry policy and degraded-mode state.
@@ -407,17 +468,15 @@ impl Default for Registry {
     }
 }
 
-/// A writer's snapshot: the generation it read plus the unchanged
-/// members it will merge against.
-struct Snapshot {
+/// What one commit reports back to [`Registry::put`] or
+/// [`Registry::delete`].
+struct Committed {
     generation: u64,
-    rest: Vec<(String, u64, Arc<WeakSchema>)>,
-}
-
-impl Snapshot {
-    fn fingerprint(&self) -> u64 {
-        fingerprint(self.rest.iter().map(|(n, h, _)| (n.as_str(), *h)))
-    }
+    /// The member's current version sequence (meaningful for a put).
+    sequence: u32,
+    /// Members after the commit.
+    remaining: usize,
+    strategy: MergeStrategy,
 }
 
 impl Registry {
@@ -435,7 +494,8 @@ impl Registry {
             cache: Mutex::new(JoinCache::default()),
             counters: Counters::default(),
             merge_threads: None,
-            persistence: None,
+            writer: Mutex::new(None),
+            store_stats: Mutex::new(None),
             metrics: RegistryMetrics::default(),
             resilience: Resilience::default(),
         }
@@ -470,124 +530,24 @@ impl Registry {
     ) -> Result<PutOutcome, RegistryError> {
         self.check_writable()?;
         let name = name.into();
-        let schema = Arc::new(schema);
         let hash = schema.content_hash();
-        let commit_started = Instant::now();
-        let mut commit_span = telemetry::span("commit");
-        commit_span.attr("content_hash", hash);
-        loop {
-            let snapshot = {
-                let shared = self.shared.read().expect("registry lock");
-                if let Some(record) = shared.members.get(&name) {
-                    let current = record.current();
-                    if current.hash == hash {
-                        self.counters.noop.fetch_add(1, Ordering::Relaxed);
-                        return Ok(PutOutcome {
-                            hash,
-                            sequence: current.sequence,
-                            generation: shared.generation,
-                            strategy: MergeStrategy::Noop,
-                        });
-                    }
-                }
-                self.snapshot_excluding(&shared, &name)
-            };
-
-            let (rest, strategy) = {
-                let mut plan_span = telemetry::span("plan");
-                plan_span.attr_usize("rest_members", snapshot.rest.len());
-                match self.rest_join(&snapshot) {
-                    Ok(pair) => {
-                        plan_span.attr("cached", u64::from(pair.1 == MergeStrategy::Incremental));
-                        pair
-                    }
-                    Err(cause) => return Err(self.reject(name, cause)),
-                }
-            };
-            // The incremental step proper, as a merge plan: the cached
-            // compiled join is the `onto_base` interner — only the
-            // changed member is walked symbolically — and the completion
-            // runs straight off the compiled join, materializing the
-            // symbolic schema once.
-            let candidate = {
-                let mut exec_span = telemetry::span("execute");
-                match merge_onto(&rest, Some(schema.as_ref()), self.merge_threads) {
-                    Ok(candidate) => {
-                        exec_span.attr_usize("classes", candidate.proper.num_classes());
-                        candidate
-                    }
-                    Err(cause) => return Err(self.reject(name, cause)),
-                }
-            };
-
-            let mut shared = self.shared.write().expect("registry lock");
-            if shared.generation != snapshot.generation {
-                drop(shared);
-                self.counters.retries.fetch_add(1, Ordering::Relaxed);
-                continue;
-            }
-            let generation = shared.generation + 1;
-            let sequence = shared
-                .members
-                .get(&name)
-                .map_or(0, |r| r.versions.len() as u32)
-                + 1;
-            // Durability point: the record is fsync'd before any shared
-            // state mutates, so a storage failure rejects the commit with
-            // the registry untouched, and a crash after this line replays
-            // to exactly this state.
-            if let Some(persistence) = &self.persistence {
-                let mut p = persistence.lock().expect("persistence lock");
-                let carry = !p.on_disk.contains(&hash);
-                self.durable_append(
-                    &mut p,
-                    &WalRecord::Put {
-                        generation,
-                        member: name.clone(),
-                        hash,
-                        sequence,
-                        view_hash: candidate.proper.content_hash(),
-                        schema: carry.then(|| Arc::clone(&schema)),
-                    },
-                )?;
-                p.on_disk.insert(hash);
-            }
-            shared.generation = generation;
-            let record = shared
-                .members
-                .entry(name.clone())
-                .or_insert_with(|| MemberRecord {
-                    versions: Vec::new(),
-                });
-            record.versions.push(SchemaVersion {
+        // The no-op fast path takes only the read lock, so a republish
+        // of the current content never queues behind a commit.
+        let noop = self.noop(&self.shared.read().expect("registry lock"), &name, hash);
+        let committed = match noop {
+            Some(noop) => noop,
+            None => self.commit(Mutation::Put {
+                name,
+                schema: Arc::new(schema),
                 hash,
-                sequence,
-                generation,
-                schema: Arc::clone(&schema),
-            });
-            let full_fp = fingerprint(
-                shared
-                    .members
-                    .iter()
-                    .map(|(n, r)| (n.as_str(), r.current().hash)),
-            );
-            let total = Arc::clone(&candidate.compiled);
-            shared.proper = candidate.proper;
-            shared.report = candidate.report;
-            self.auto_snapshot(&shared);
-            drop(shared);
-
-            self.seed_cache(snapshot.fingerprint(), rest, full_fp, total);
-            self.count_commit(strategy);
-            commit_span.attr("generation", generation);
-            self.metrics.commit_latency.record(commit_started.elapsed());
-            return Ok(PutOutcome {
-                hash,
-                sequence,
-                generation,
-                strategy,
-            });
-        }
+            })?,
+        };
+        Ok(PutOutcome {
+            hash,
+            sequence: committed.sequence,
+            generation: committed.generation,
+            strategy: committed.strategy,
+        })
     }
 
     /// Removes member `name` and re-merges the remainder (incrementally
@@ -598,89 +558,14 @@ impl Registry {
     ///
     /// [`RegistryError::UnknownMember`] when no such member exists.
     pub fn delete(&self, name: &str) -> Result<DeleteOutcome, RegistryError> {
-        self.check_writable()?;
-        let commit_started = Instant::now();
-        let mut commit_span = telemetry::span("commit");
-        loop {
-            let snapshot = {
-                let shared = self.shared.read().expect("registry lock");
-                if !shared.members.contains_key(name) {
-                    return Err(RegistryError::UnknownMember(name.to_string()));
-                }
-                self.snapshot_excluding(&shared, name)
-            };
-
-            // Deleting from a compatible set cannot make it incompatible,
-            // but the error path is kept honest rather than unwrapped.
-            let (rest, strategy) = {
-                let mut plan_span = telemetry::span("plan");
-                plan_span.attr_usize("rest_members", snapshot.rest.len());
-                match self.rest_join(&snapshot) {
-                    Ok(pair) => {
-                        plan_span.attr("cached", u64::from(pair.1 == MergeStrategy::Incremental));
-                        pair
-                    }
-                    Err(cause) => return Err(self.reject(name.to_string(), cause)),
-                }
-            };
-            // The remainder's join IS the new total — the merge plan has
-            // no extras, so the merger skips the join pass and only the
-            // completion runs (against the cached compiled form).
-            let candidate = {
-                let mut exec_span = telemetry::span("execute");
-                match merge_onto(&rest, None, self.merge_threads) {
-                    Ok(candidate) => {
-                        exec_span.attr_usize("classes", candidate.proper.num_classes());
-                        candidate
-                    }
-                    Err(cause) => return Err(self.reject(name.to_string(), cause)),
-                }
-            };
-
-            let mut shared = self.shared.write().expect("registry lock");
-            if shared.generation != snapshot.generation {
-                drop(shared);
-                self.counters.retries.fetch_add(1, Ordering::Relaxed);
-                continue;
-            }
-            let generation = shared.generation + 1;
-            // Same durability point as `put`: fsync first, mutate after.
-            if let Some(persistence) = &self.persistence {
-                let mut p = persistence.lock().expect("persistence lock");
-                self.durable_append(
-                    &mut p,
-                    &WalRecord::Delete {
-                        generation,
-                        member: name.to_string(),
-                        view_hash: candidate.proper.content_hash(),
-                    },
-                )?;
-            }
-            shared.generation = generation;
-            shared.members.remove(name);
-            let remaining = shared.members.len();
-            let full_fp = fingerprint(
-                shared
-                    .members
-                    .iter()
-                    .map(|(n, r)| (n.as_str(), r.current().hash)),
-            );
-            let total = Arc::clone(&candidate.compiled);
-            shared.proper = candidate.proper;
-            shared.report = candidate.report;
-            self.auto_snapshot(&shared);
-            drop(shared);
-
-            self.seed_cache(snapshot.fingerprint(), rest, full_fp, total);
-            self.count_commit(strategy);
-            commit_span.attr("generation", generation);
-            self.metrics.commit_latency.record(commit_started.elapsed());
-            return Ok(DeleteOutcome {
-                generation,
-                remaining,
-                strategy,
-            });
-        }
+        let committed = self.commit(Mutation::Delete {
+            name: name.to_string(),
+        })?;
+        Ok(DeleteOutcome {
+            generation: committed.generation,
+            remaining: committed.remaining,
+            strategy: committed.strategy,
+        })
     }
 
     /// The current merged view (three `Arc` clones; never blocks writers
@@ -714,33 +599,16 @@ impl Registry {
     /// join), but the signature carries it for the cold-cache recompute
     /// path.
     pub fn compiled_join(&self) -> Result<RegistryJoin, MergeError> {
-        let (generation, members) = {
-            let shared = self.shared.read().expect("registry lock");
-            let members: Vec<(String, SchemaVersion)> = shared
-                .members
-                .iter()
-                .map(|(n, r)| (n.clone(), r.current().clone()))
-                .collect();
-            (shared.generation, members)
-        };
+        let (generation, members) = self.versioned_members();
         let fp = fingerprint(members.iter().map(|(n, v)| (n.as_str(), v.hash)));
-        if let Some(join) = self.cache.lock().expect("cache lock").probe(fp) {
-            return Ok(RegistryJoin {
-                generation,
-                fingerprint: fp,
-                members,
-                join,
-            });
+        let (join, strategy) =
+            self.cached_join(fp, members.iter().map(|(_, v)| v.schema.as_ref()))?;
+        if strategy == MergeStrategy::Full {
+            self.cache
+                .lock()
+                .expect("cache lock")
+                .insert(fp, Arc::clone(&join));
         }
-        let mut merger = Merger::new().schemas(members.iter().map(|(_, v)| v.schema.as_ref()));
-        if let Some(threads) = self.merge_threads {
-            merger = merger.threads(threads);
-        }
-        let join = Arc::new(merger.join()?.into_compiled());
-        self.cache
-            .lock()
-            .expect("cache lock")
-            .insert(fp, Arc::clone(&join));
         Ok(RegistryJoin {
             generation,
             fingerprint: fp,
@@ -754,12 +622,19 @@ impl Registry {
     /// walks this to attribute composed classes to
     /// `registry/member@vN` origins.
     pub fn current_members(&self) -> Vec<(String, SchemaVersion)> {
+        self.versioned_members().1
+    }
+
+    /// The generation and every member's current version, read under one
+    /// lock acquisition, sorted by name.
+    fn versioned_members(&self) -> (u64, Vec<(String, SchemaVersion)>) {
         let shared = self.shared.read().expect("registry lock");
-        shared
+        let members = shared
             .members
             .iter()
             .map(|(name, record)| (name.clone(), record.current().clone()))
-            .collect()
+            .collect();
+        (shared.generation, members)
     }
 
     /// The current version of member `name`.
@@ -817,7 +692,8 @@ impl Registry {
     /// the full member state is written as one atomically-installed
     /// image (schema bodies deduplicated by content hash), the WAL is
     /// truncated, and superseded snapshot objects are removed. Returns
-    /// the generation the snapshot captured.
+    /// the generation the snapshot captured. Like a commit it runs as
+    /// the writer, and reads keep serving while it writes.
     ///
     /// # Errors
     ///
@@ -827,20 +703,17 @@ impl Registry {
     /// (the new image is installed before anything is discarded), so
     /// nothing committed is ever lost.
     pub fn snapshot(&self) -> Result<u64, RegistryError> {
-        self.check_writable()?;
-        let persistence = self
-            .persistence
-            .as_ref()
-            .ok_or(RegistryError::NotPersistent)?;
-        let shared = self.shared.read().expect("registry lock");
-        let mut p = persistence.lock().expect("persistence lock");
-        let view_hash = shared.proper.content_hash();
-        Ok(p.write_snapshot(&shared.members, shared.generation, view_hash)?)
+        self.as_writer(|persistence| {
+            self.check_writable()?;
+            let p = persistence.ok_or(RegistryError::NotPersistent)?;
+            Ok(self.write_snapshot(p)?)
+        })
     }
 
     /// A statistics snapshot: state sizes and merged-view shape are
     /// coherent (read under one lock acquisition); the engine counters
-    /// are monotone and read atomically alongside.
+    /// are monotone and read atomically alongside, and the durability
+    /// numbers are those published by the last writer section.
     pub fn stats(&self) -> RegistryStats {
         let (generation, members, total_versions, proper, report) = {
             let shared = self.shared.read().expect("registry lock");
@@ -856,16 +729,8 @@ impl Registry {
             let cache = self.cache.lock().expect("cache lock");
             (cache.len(), cache.hits(), cache.misses(), cache.evictions())
         };
-        let durability = self.persistence.as_ref().map(|persistence| {
-            let p = persistence.lock().expect("persistence lock");
-            (
-                p.wal_records,
-                p.store.log_bytes().unwrap_or(0),
-                p.snapshot_generation,
-                p.snapshot_bytes,
-                p.snapshots_written,
-            )
-        });
+        let store = *self.store_stats.lock().expect("store stats lock");
+        let durable = store.unwrap_or_default();
         let weak = proper.as_weak();
         RegistryStats {
             generation,
@@ -884,15 +749,14 @@ impl Registry {
             cache_misses,
             cache_evictions,
             cache_entries,
-            commit_retries: self.counters.retries.load(Ordering::Relaxed),
             uptime_secs: self.uptime_secs(),
             requests_served: self.counters.requests.load(Ordering::Relaxed),
-            persistent: durability.is_some(),
-            wal_records: durability.map_or(0, |d| d.0),
-            wal_bytes: durability.map_or(0, |d| d.1),
-            snapshot_generation: durability.map_or(0, |d| d.2),
-            snapshot_bytes: durability.map_or(0, |d| d.3),
-            snapshots_written: durability.map_or(0, |d| d.4),
+            persistent: store.is_some(),
+            wal_records: durable.wal_records,
+            wal_bytes: durable.wal_bytes,
+            snapshot_generation: durable.snapshot_generation,
+            snapshot_bytes: durable.snapshot_bytes,
+            snapshots_written: durable.snapshots_written,
             degraded: self.resilience.degraded.load(Ordering::SeqCst),
             storage_retries: self.resilience.storage_retries.load(Ordering::Relaxed),
         }
@@ -901,12 +765,14 @@ impl Registry {
     // ---- resilience ------------------------------------------------------
 
     /// A snapshot of the registry's resilience state — what the `HEALTH`
-    /// protocol verb serves.
+    /// protocol verb serves. The fault counters are those published by
+    /// the last writer section, so a stalled commit never stalls HEALTH.
     pub fn health(&self) -> Health {
         let fault_counters = self
-            .persistence
-            .as_ref()
-            .and_then(|p| p.lock().expect("persistence lock").store.fault_counters());
+            .store_stats
+            .lock()
+            .expect("store stats lock")
+            .and_then(|s| s.fault_counters);
         Health {
             degraded: self.resilience.degraded.load(Ordering::SeqCst),
             last_storage_error: self
@@ -942,19 +808,18 @@ impl Registry {
         if !self.resilience.degraded.load(Ordering::SeqCst) {
             return true;
         }
-        let Some(persistence) = &self.persistence else {
+        let probe = self.as_writer(|persistence| match persistence {
+            Some(p) => p
+                .repair_torn()
+                .and_then(|()| p.store.log_bytes().map(|_| ())),
             // Degradation without a store cannot arise, but heal anyway.
-            self.heal();
-            return true;
-        };
-        let mut p = persistence.lock().expect("persistence lock");
-        let probe = p
-            .repair_torn()
-            .and_then(|()| p.store.log_bytes().map(|_| ()));
+            None => Ok(()),
+        });
         match probe {
             Ok(()) => {
-                drop(p);
-                self.heal();
+                if self.resilience.degraded.swap(false, Ordering::SeqCst) {
+                    self.resilience.heal_events.fetch_add(1, Ordering::Relaxed);
+                }
                 true
             }
             Err(err) => {
@@ -979,53 +844,36 @@ impl Registry {
         Ok(())
     }
 
-    /// Appends one commit record, retrying transient storage failures
-    /// under the configured policy (repairing any torn partial frame
-    /// before each attempt). With no policy this is the fail-fast
-    /// append of old. Exhausting the budget — or a permanent failure —
-    /// flips the registry into degraded read-only mode; the exhausting
-    /// error itself surfaces as [`RegistryError::Storage`] since this
-    /// commit was never acknowledged.
-    fn durable_append(&self, p: &mut Persistence, record: &WalRecord) -> Result<(), RegistryError> {
-        let Some(policy) = &self.resilience.policy else {
-            return Ok(p.append(record, &self.metrics.fsync_latency, false)?);
-        };
-        let mut attempt: u32 = 0;
-        loop {
-            let result = p
-                .repair_torn()
-                .and_then(|()| p.append(record, &self.metrics.fsync_latency, true));
-            match result {
-                Ok(()) => return Ok(()),
-                Err(err) => {
-                    self.resilience.note_error(&err);
-                    if err.is_transient() && attempt < policy.max_retries() {
-                        attempt += 1;
-                        self.resilience
-                            .storage_retries
-                            .fetch_add(1, Ordering::Relaxed);
-                        std::thread::sleep(policy.backoff(attempt, record.generation()));
-                        continue;
-                    }
-                    self.enter_degraded();
-                    return Err(RegistryError::Storage(err));
-                }
+    /// Appends one commit frame, retrying transient storage failures
+    /// under the configured policy (each attempt first truncates any torn
+    /// partial frame the previous one left). Under a policy, exhausting
+    /// the budget — or a permanent failure — flips the registry into
+    /// degraded read-only mode; either way the error surfaces as
+    /// [`RegistryError::Storage`] since this commit was never
+    /// acknowledged.
+    fn durable_append(
+        &self,
+        p: &mut Persistence,
+        frame: &[u8],
+        generation: u64,
+    ) -> Result<(), RegistryError> {
+        let policy = self.resilience.policy.as_ref();
+        retry(policy, generation, |attempt| {
+            if attempt > 0 {
+                self.resilience
+                    .storage_retries
+                    .fetch_add(1, Ordering::Relaxed);
             }
-        }
-    }
-
-    fn enter_degraded(&self) {
-        if !self.resilience.degraded.swap(true, Ordering::SeqCst) {
-            self.resilience
-                .degrade_events
-                .fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    fn heal(&self) {
-        if self.resilience.degraded.swap(false, Ordering::SeqCst) {
-            self.resilience.heal_events.fetch_add(1, Ordering::Relaxed);
-        }
+            p.append(frame, &self.metrics.fsync_latency)
+                .inspect_err(|err| self.resilience.note_error(err))
+        })
+        .map_err(|err| {
+            if policy.is_some() && !self.resilience.degraded.swap(true, Ordering::SeqCst) {
+                let events = &self.resilience.degrade_events;
+                events.fetch_add(1, Ordering::Relaxed);
+            }
+            RegistryError::Storage(err)
+        })
     }
 
     // ---- telemetry -------------------------------------------------------
@@ -1062,40 +910,207 @@ impl Registry {
         self.metrics.recovery_latency.snapshot()
     }
 
-    // ---- engine internals ------------------------------------------------
+    // ---- the commit path -------------------------------------------------
 
-    fn snapshot_excluding(&self, shared: &Shared, name: &str) -> Snapshot {
-        Snapshot {
-            generation: shared.generation,
-            rest: shared
-                .members
-                .iter()
-                .filter(|(n, _)| n.as_str() != name)
-                .map(|(n, r)| {
-                    let current = r.current();
-                    (n.clone(), current.hash, Arc::clone(&current.schema))
-                })
-                .collect(),
+    /// Runs `f` as the registry's one writer — holding the writer mutex —
+    /// then publishes the store's numbers for STATS and HEALTH.
+    fn as_writer<T>(&self, f: impl FnOnce(Option<&mut Persistence>) -> T) -> T {
+        let mut writer = self.writer.lock().expect("writer lock");
+        let out = f(writer.as_mut());
+        if let Some(p) = writer.as_mut() {
+            *self.store_stats.lock().expect("store stats lock") = Some(p.publish());
         }
+        out
     }
 
-    /// The compiled join of the snapshot's unchanged members: from the
-    /// cache when their exact version set was joined before, otherwise
-    /// computed from scratch (and later seeded by the commit). The
-    /// from-scratch rebuild is the registry's widest merge — every
-    /// unchanged member walked at once — so it is exactly the shape the
-    /// engine shards: the merger defaults to the machine's parallelism
-    /// past the work or input threshold, and
+    /// A put of `hash` to `name` when that is already the member's
+    /// current content: nothing to commit.
+    fn noop(&self, shared: &Shared, name: &str, hash: u64) -> Option<Committed> {
+        let current = shared.members.get(name)?.current();
+        (current.hash == hash).then(|| {
+            self.counters.noop.fetch_add(1, Ordering::Relaxed);
+            Committed {
+                generation: shared.generation,
+                sequence: current.sequence,
+                remaining: shared.members.len(),
+                strategy: MergeStrategy::Noop,
+            }
+        })
+    }
+
+    /// The one commit path, run as the writer:
+    ///
+    /// 1. capture the unchanged members under a brief read lock — the
+    ///    writer mutex keeps them fixed from here on;
+    /// 2. plan and execute the merge with no view lock held;
+    /// 3. append and fsync the WAL record (retrying under the policy);
+    /// 4. take the write lock only to apply the mutation and swap in the
+    ///    new view;
+    /// 5. run a due auto-snapshot.
+    fn commit(&self, mutation: Mutation) -> Result<Committed, RegistryError> {
+        let started = Instant::now();
+        let mut commit_span = telemetry::span("commit");
+        if let Mutation::Put { hash, .. } = &mutation {
+            commit_span.attr("content_hash", *hash);
+        }
+        let committed = self.as_writer(|mut persistence| {
+            // Checked again as the writer: a commit that queued behind one
+            // that degraded the registry must not append.
+            self.check_writable()?;
+            let (generation, sequence, rest_fp, rest) = {
+                let shared = self.shared.read().expect("registry lock");
+                let name = mutation.name();
+                if let Mutation::Put { hash, .. } = &mutation {
+                    if let Some(noop) = self.noop(&shared, name, *hash) {
+                        return Ok(noop);
+                    }
+                } else if !shared.members.contains_key(name) {
+                    return Err(RegistryError::UnknownMember(name.to_string()));
+                }
+                let sequence = shared.members.get(name).map_or(0, |r| r.versions.len()) + 1;
+                let rest = shared
+                    .members
+                    .iter()
+                    .filter(|(n, _)| n.as_str() != name)
+                    .map(|(n, r)| (n.as_str(), r.current()));
+                (
+                    shared.generation + 1,
+                    sequence as u32,
+                    fingerprint(rest.clone().map(|(n, v)| (n, v.hash))),
+                    rest.map(|(_, v)| Arc::clone(&v.schema)).collect::<Vec<_>>(),
+                )
+            };
+
+            let (rest, strategy) = {
+                let mut plan_span = telemetry::span("plan");
+                plan_span.attr_usize("rest_members", rest.len());
+                let (join, strategy) = self
+                    .cached_join(rest_fp, rest.iter().map(|s| s.as_ref()))
+                    .map_err(|cause| self.reject(mutation.name(), cause))?;
+                plan_span.attr("cached", u64::from(strategy == MergeStrategy::Incremental));
+                (join, strategy)
+            };
+            // The incremental step proper, as a merge plan: the cached
+            // compiled join is the `onto_base` interner — only a put's
+            // member is walked symbolically; a delete has no extra, so
+            // the rest IS the new total and only the completion runs.
+            let candidate = {
+                let mut exec_span = telemetry::span("execute");
+                let extra = match &mutation {
+                    Mutation::Put { schema, .. } => Some(schema.as_ref()),
+                    Mutation::Delete { .. } => None,
+                };
+                let candidate = merge_onto(&rest, extra, self.merge_threads)
+                    .map_err(|cause| self.reject(mutation.name(), cause))?;
+                exec_span.attr_usize("classes", candidate.proper.num_classes());
+                candidate
+            };
+
+            // Durability point: the record is fsync'd before the view
+            // state mutates, so a storage failure rejects the commit with
+            // the registry untouched, and a crash after this line replays
+            // to exactly this state.
+            if let Some(p) = persistence.as_deref_mut() {
+                let view_hash = candidate.proper.content_hash();
+                let record = match &mutation {
+                    Mutation::Put { name, schema, hash } => WalRecord::Put {
+                        generation,
+                        member: name.clone(),
+                        hash: *hash,
+                        sequence,
+                        view_hash,
+                        schema: (!p.on_disk.contains(hash)).then(|| Arc::clone(schema)),
+                    },
+                    Mutation::Delete { name } => WalRecord::Delete {
+                        generation,
+                        member: name.clone(),
+                        view_hash,
+                    },
+                };
+                self.durable_append(p, &wal::encode_frame(&record), generation)?;
+                if let Mutation::Put { hash, .. } = &mutation {
+                    p.on_disk.insert(*hash);
+                }
+            }
+
+            let (remaining, full_fp) = {
+                let mut shared = self.shared.write().expect("registry lock");
+                mutation.apply(&mut shared.members, generation);
+                shared.generation = generation;
+                shared.proper = candidate.proper;
+                shared.report = candidate.report;
+                let full_fp = fingerprint(
+                    shared
+                        .members
+                        .iter()
+                        .map(|(n, r)| (n.as_str(), r.current().hash)),
+                );
+                (shared.members.len(), full_fp)
+            };
+            {
+                let mut cache = self.cache.lock().expect("cache lock");
+                cache.insert(rest_fp, rest);
+                cache.insert(full_fp, candidate.compiled);
+            }
+            let counter = match strategy {
+                MergeStrategy::Full => &self.counters.full,
+                _ => &self.counters.incremental,
+            };
+            counter.fetch_add(1, Ordering::Relaxed);
+
+            // A failed auto-snapshot never fails the commit — it is
+            // already durable in the log, and the snapshot is retried at
+            // the next commit — but it is counted in
+            // [`Health::snapshot_failures`] and recorded as the last
+            // storage error. It does not degrade the registry: writes
+            // still land in the log.
+            if let Some(p) = persistence.filter(|p| p.snapshot_due()) {
+                if let Err(err) = self.write_snapshot(p) {
+                    self.resilience
+                        .snapshot_failures
+                        .fetch_add(1, Ordering::Relaxed);
+                    self.resilience.note_error(&err);
+                }
+            }
+            Ok(Committed {
+                generation,
+                sequence,
+                remaining,
+                strategy,
+            })
+        })?;
+        if committed.strategy != MergeStrategy::Noop {
+            commit_span.attr("generation", committed.generation);
+            self.metrics.commit_latency.record(started.elapsed());
+        }
+        Ok(committed)
+    }
+
+    /// Snapshots the current state and compacts the log. The caller is
+    /// the writer, so no commit interleaves; the view lock is held only
+    /// to capture the state, never across the encode or the I/O.
+    fn write_snapshot(&self, p: &mut Persistence) -> Result<u64, StorageError> {
+        let state = self.shared.read().expect("registry lock").snapshot_state();
+        p.write_snapshot(&state)
+    }
+
+    /// The compiled join of a member-version set (fingerprint `fp`):
+    /// from the cache when that exact set was joined before, otherwise
+    /// computed from scratch ([`MergeStrategy::Full`]; the caller seeds
+    /// the cache). The from-scratch rebuild is the registry's widest
+    /// merge — every member walked at once — so it is exactly the shape
+    /// the engine shards: the merger defaults to the machine's
+    /// parallelism past the work or input threshold, and
     /// [`crate::RegistryBuilder::merge_threads`] fixes its budget.
-    fn rest_join(
+    fn cached_join<'a>(
         &self,
-        snapshot: &Snapshot,
+        fp: u64,
+        schemas: impl IntoIterator<Item = &'a WeakSchema>,
     ) -> Result<(Arc<CompiledSchema>, MergeStrategy), MergeError> {
-        let fp = snapshot.fingerprint();
         if let Some(join) = self.cache.lock().expect("cache lock").probe(fp) {
             return Ok((join, MergeStrategy::Incremental));
         }
-        let mut merger = Merger::new().schemas(snapshot.rest.iter().map(|(_, _, s)| s.as_ref()));
+        let mut merger = Merger::new().schemas(schemas);
         if let Some(threads) = self.merge_threads {
             merger = merger.threads(threads);
         }
@@ -1105,52 +1120,11 @@ impl Registry {
         ))
     }
 
-    fn seed_cache(
-        &self,
-        rest_fp: u64,
-        rest: Arc<CompiledSchema>,
-        full_fp: u64,
-        total: Arc<CompiledSchema>,
-    ) {
-        let mut cache = self.cache.lock().expect("cache lock");
-        cache.insert(rest_fp, rest);
-        cache.insert(full_fp, total);
-    }
-
-    fn count_commit(&self, strategy: MergeStrategy) {
-        let counter = match strategy {
-            MergeStrategy::Incremental => &self.counters.incremental,
-            MergeStrategy::Full => &self.counters.full,
-            MergeStrategy::Noop => return,
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn reject(&self, member: String, cause: MergeError) -> RegistryError {
+    fn reject(&self, member: &str, cause: MergeError) -> RegistryError {
         self.counters.rejected.fetch_add(1, Ordering::Relaxed);
-        RegistryError::Rejected { member, cause }
-    }
-
-    /// Compacts if the auto-snapshot cadence is due. Called with the
-    /// write lock held, right after a commit mutated the shared state.
-    /// A failure never fails the commit — it is already durable in the
-    /// log, and the snapshot is retried at the next commit — but it is
-    /// counted in [`Health::snapshot_failures`] and recorded as the last
-    /// storage error. It does not degrade the registry: writes still
-    /// land in the log.
-    fn auto_snapshot(&self, shared: &Shared) {
-        let Some(persistence) = &self.persistence else {
-            return;
-        };
-        let mut p = persistence.lock().expect("persistence lock");
-        if p.snapshot_every > 0 && p.records_since_snapshot >= p.snapshot_every {
-            let view_hash = shared.proper.content_hash();
-            if let Err(err) = p.write_snapshot(&shared.members, shared.generation, view_hash) {
-                self.resilience
-                    .snapshot_failures
-                    .fetch_add(1, Ordering::Relaxed);
-                self.resilience.note_error(&err);
-            }
+        RegistryError::Rejected {
+            member: member.to_string(),
+            cause,
         }
     }
 }

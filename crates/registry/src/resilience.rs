@@ -1,16 +1,19 @@
 //! Commit-path resilience: retry policy, degraded read-only mode, and
 //! the registry's health surface.
 //!
-//! By default a durable registry is *fail-fast*: a storage error on the
-//! commit path surfaces to the caller unretried, exactly as in earlier
-//! releases. Opting in with
+//! Every durable registry records the log length before each WAL append,
+//! and a failed append that tore a partial frame is truncated away
+//! before the next append (or probe), so a torn tail never hides a later
+//! commit. Beyond that, a durable registry is *fail-fast* by default: a
+//! storage error on the commit path surfaces to the caller unretried.
+//! Opting in with
 //! `Registry::builder().retry_policy(RetryPolicy::new(3))` changes the
 //! posture to the one object-store-backed systems assume — transient
 //! I/O faults are the norm:
 //!
 //! 1. a failed WAL append is retried under a bounded
-//!    exponential-backoff-with-jitter budget (after truncating any torn
-//!    partial frame the failed write left behind);
+//!    exponential-backoff-with-jitter budget, and so are recovery's
+//!    reads (one helper drives both);
 //! 2. when the budget is exhausted (or the error is permanent) the
 //!    registry flips to **degraded read-only mode** instead of wedging:
 //!    reads keep serving the live in-memory view, writes are rejected
@@ -23,7 +26,7 @@
 
 use std::time::Duration;
 
-use crate::storage::FaultCounters;
+use crate::storage::{FaultCounters, StorageError};
 
 /// A bounded exponential-backoff retry budget for commit-path storage
 /// errors.
@@ -91,6 +94,27 @@ impl RetryPolicy {
             z % (2 * quarter + 1)
         };
         Duration::from_nanos(base_nanos - quarter + jitter)
+    }
+}
+
+/// Runs `op` — passed the 0-based attempt number — until it succeeds,
+/// fails with a non-transient error, or exhausts `policy`'s budget,
+/// sleeping the policy's backoff (jittered by `salt`) between attempts.
+/// With no policy the first failure is final.
+pub(crate) fn retry<T>(
+    policy: Option<&RetryPolicy>,
+    salt: u64,
+    mut op: impl FnMut(u32) -> Result<T, StorageError>,
+) -> Result<T, StorageError> {
+    let mut attempt: u32 = 0;
+    loop {
+        match (op(attempt), policy) {
+            (Err(err), Some(policy)) if err.is_transient() && attempt < policy.max_retries => {
+                attempt += 1;
+                std::thread::sleep(policy.backoff(attempt, salt));
+            }
+            (result, _) => return result,
+        }
     }
 }
 

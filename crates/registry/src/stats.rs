@@ -41,9 +41,6 @@ pub struct RegistryStats {
     pub cache_evictions: u64,
     /// Join-cache resident entries.
     pub cache_entries: usize,
-    /// Optimistic commit attempts that lost the generation race and
-    /// retried.
-    pub commit_retries: u64,
     /// Whole seconds since this registry instance was opened.
     pub uptime_secs: u64,
     /// Requests this registry has served, as noted by its front end
@@ -107,7 +104,6 @@ impl RegistryStats {
         out.push_str(&format!(", \"cache_misses\": {}", self.cache_misses));
         out.push_str(&format!(", \"cache_evictions\": {}", self.cache_evictions));
         out.push_str(&format!(", \"cache_entries\": {}", self.cache_entries));
-        out.push_str(&format!(", \"commit_retries\": {}", self.commit_retries));
         out.push_str(&format!(", \"uptime_secs\": {}", self.uptime_secs));
         out.push_str(&format!(", \"requests_served\": {}", self.requests_served));
         out.push_str(&format!(", \"persistent\": {}", self.persistent));
@@ -149,12 +145,8 @@ impl fmt::Display for RegistryStats {
         )?;
         writeln!(
             f,
-            "merges: {} incremental, {} full, {} no-op, {} rejected, {} commit retries",
-            self.incremental_merges,
-            self.full_merges,
-            self.noop_puts,
-            self.rejected_puts,
-            self.commit_retries,
+            "merges: {} incremental, {} full, {} no-op, {} rejected",
+            self.incremental_merges, self.full_merges, self.noop_puts, self.rejected_puts,
         )?;
         writeln!(
             f,
@@ -213,7 +205,6 @@ mod tests {
             cache_misses: 2,
             cache_evictions: 0,
             cache_entries: 4,
-            commit_retries: 1,
             uptime_secs: 42,
             requests_served: 100,
             persistent: false,
@@ -242,8 +233,7 @@ mod tests {
              \"incremental_merges\": 5, \"full_merges\": 2, \
              \"noop_puts\": 1, \"rejected_puts\": 0, \"cache_hits\": 5, \
              \"cache_misses\": 2, \"cache_evictions\": 0, \
-             \"cache_entries\": 4, \"commit_retries\": 1, \
-             \"uptime_secs\": 42, \"requests_served\": 100, \
+             \"cache_entries\": 4, \"uptime_secs\": 42, \"requests_served\": 100, \
              \"persistent\": false}"
         );
     }

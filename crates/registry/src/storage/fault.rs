@@ -19,9 +19,9 @@
 //! Appends can additionally fail *torn*: a PRNG-chosen strict prefix of
 //! the frame is written to the inner store before the error surfaces,
 //! which is exactly what a power cut mid-`write(2)` leaves behind. The
-//! registry's retry path must truncate that garbage before appending
-//! again or the log is unrecoverable past it — the chaos suite exists
-//! to prove it does.
+//! registry must truncate that garbage before appending again, with or
+//! without a retry policy, or the log is unrecoverable past it — the
+//! chaos suite exists to prove it does.
 //!
 //! A schedule handle is cheaply cloneable and shares its state: tests
 //! keep a clone, let the wrapped registry degrade, then call

@@ -129,8 +129,8 @@ impl std::error::Error for StorageError {
 /// must leave either the complete object or nothing (no snapshot object
 /// may ever hold a torn image).
 ///
-/// The registry serializes all calls (they happen under its commit
-/// lock), so implementations need interior consistency, not interior
+/// The registry serializes all calls (they happen under its writer
+/// mutex), so implementations need interior consistency, not interior
 /// synchronization; `Send` is required because the registry itself is
 /// shared across threads.
 pub trait Store: Send {

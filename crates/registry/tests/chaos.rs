@@ -23,7 +23,7 @@
 //! replayable.
 
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use schema_merge_core::WeakSchema;
 use schema_merge_registry::storage::{
@@ -411,4 +411,112 @@ fn failed_auto_snapshot_is_counted_not_dropped() {
     drop(faulty);
     let recovered = Registry::builder().store(disk).open().unwrap();
     assert_same_view(5, &recovered, &reference);
+}
+
+/// A fail-fast registry (no retry policy) records the log length before
+/// every append too: the commit after a torn append truncates the
+/// garbage first, so recovery keeps every acked commit.
+#[test]
+fn fail_fast_torn_append_does_not_hide_later_commits() {
+    let disk = SharedStore::default();
+    let schedule = FaultSchedule::new(99).fail_nth(OpKind::Append, 2, Fault::Torn);
+    let faulty = Registry::builder()
+        .store(FaultStore::new(disk.clone(), schedule.clone()))
+        .snapshot_every(0)
+        .open()
+        .unwrap();
+    let reference = Registry::new();
+
+    let schemas = pool(99);
+    faulty.put("good", schemas[0].clone()).unwrap();
+    reference.put("good", schemas[0].clone()).unwrap();
+
+    let err = faulty.put("torn", schemas[1].clone()).unwrap_err();
+    assert!(matches!(err, RegistryError::Storage(_)), "{err}");
+    assert!(!faulty.is_degraded(), "fail-fast never degrades");
+    assert_eq!(
+        schedule.counters().torn_appends,
+        1,
+        "a partial frame was left"
+    );
+
+    faulty.put("after", schemas[2].clone()).unwrap();
+    reference.put("after", schemas[2].clone()).unwrap();
+    assert_same_view(99, &faulty, &reference);
+
+    drop(faulty);
+    let recovered = Registry::builder().store(disk).open().unwrap();
+    assert_same_view(99, &recovered, &reference);
+}
+
+/// Runs `write` against a durable registry whose `stalled` store calls
+/// each take 100 ms and, twenty ms into the stall, asserts that every
+/// read answers in under 10 ms.
+fn assert_reads_do_not_wait(
+    stalled: OpKind,
+    snapshot_every: u64,
+    write: impl FnOnce(&Registry) + Send,
+) {
+    const STALL: Duration = Duration::from_millis(100);
+    let schedule = FaultSchedule::new(11);
+    let registry = Registry::builder()
+        .store(FaultStore::new(MemoryStore::new(), schedule.clone()))
+        .snapshot_every(snapshot_every)
+        .open()
+        .unwrap();
+    registry.put("m0", pool(11)[0].clone()).unwrap();
+    let _ = schedule.latency(stalled, STALL);
+
+    std::thread::scope(|scope| {
+        let writer = scope.spawn(|| {
+            let started = Instant::now();
+            write(&registry);
+            started.elapsed()
+        });
+        std::thread::sleep(Duration::from_millis(20));
+        let reads: [(&str, &dyn Fn()); 5] = [
+            ("merged", &|| {
+                let _ = registry.merged();
+            }),
+            ("get", &|| {
+                let _ = registry.get("m0");
+            }),
+            ("list", &|| {
+                let _ = registry.list();
+            }),
+            ("stats", &|| {
+                let _ = registry.stats();
+            }),
+            ("health", &|| {
+                let _ = registry.health();
+            }),
+        ];
+        for (name, read) in reads {
+            let started = Instant::now();
+            read();
+            let waited = started.elapsed();
+            assert!(
+                waited < Duration::from_millis(10),
+                "{name} waited {waited:?} on a stalled {stalled:?}"
+            );
+        }
+        let write_took = writer.join().unwrap();
+        assert!(write_took >= STALL, "the {stalled:?} did not stall");
+    });
+}
+
+/// Reads take no lock that a commit holds across storage I/O: not
+/// during a WAL append, an auto-snapshot or a manual snapshot.
+#[test]
+fn reads_never_wait_on_commit_io() {
+    let schemas = pool(11);
+    assert_reads_do_not_wait(OpKind::Append, 0, |r| {
+        r.put("m1", schemas[1].clone()).unwrap();
+    });
+    assert_reads_do_not_wait(OpKind::WriteSnapshot, 1, |r| {
+        r.put("m1", schemas[1].clone()).unwrap();
+    });
+    assert_reads_do_not_wait(OpKind::WriteSnapshot, 0, |r| {
+        r.snapshot().unwrap();
+    });
 }
